@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, spectrum
-from .nested_gl import ZeroVectorError, gl2_eigenvalue, gl2_residuals, \
-    gl2_vector, gl3_eigenvalue, gl3_residuals, gl3_vector
+from .chain import Chain
+from .linalg import ZeroVectorError
+from .nested_gl import gl2_eigenvalue, gl2_residuals, gl2_vector, \
+    gl3_eigenvalue, gl3_residuals, gl3_vector
 from .nested_sp4 import Sp4BetheConfig, sp4_bethe_vector, sp4_eigenvalue, \
     sp4_residuals
 from .scalars import PoleError
@@ -32,10 +33,6 @@ FD_STEP = 1e-7
 DEDUP_TOL = 1e-6
 COLLISION_TOL = 1e-8
 RUNAWAY_RADIUS = 1e3
-
-
-class NoConvergence(Exception):
-    """A start failed to reach the tolerance (recorded, not fatal)."""
 
 
 @dataclass

@@ -13,12 +13,12 @@ read off by applying T^i_i(x) to the vacuum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import EXACT, FLOAT, Mat, lift, residual
+from .linalg import EXACT, FLOAT, Mat, block_matrix, lift, residual
 from .rmatrix import SP4_SPACE, build_gl_r, build_sp4_r, gl_space
 from .scalars import is_exact, parse_scalar
 
@@ -87,22 +87,18 @@ def chain_spec_from_dict(data, backend=None):
 
 @dataclass
 class VacuumData:
-    """Detected vacuum: local basis value, triangularity, weight evaluator."""
+    """Detected vacuum: local basis value, triangularity, local space."""
 
     local_value: int
     convention: str            # "i<k" or "i>k": the annihilated wedge
     omega: Mat
-    chain: "Chain" = field(repr=False)
+    space: tuple
 
     def annihilating_pairs(self):
-        sp = self.chain.space
+        sp = self.space
         if self.convention == "i<k":
             return [(i, k) for i in sp for k in sp if i < k]
         return [(i, k) for i in sp for k in sp if i > k]
-
-    def lam(self, i, x):
-        """Weight lam_i(x): coefficient of T^i_i(x) omega along omega."""
-        return self.chain.lam(i, x)
 
 
 class Chain:
@@ -190,7 +186,7 @@ class Chain:
             for c in self.space:
                 omega = self._candidate_omega(c)
                 if self._is_vacuum(omega, conv, pts):
-                    self._vacuum = VacuumData(c, conv, omega, self)
+                    self._vacuum = VacuumData(c, conv, omega, self.space)
                     return self._vacuum
         raise NoVacuumError(f"no triangular vacuum for {self.spec}")
 
@@ -233,43 +229,31 @@ class Chain:
         return coeff
 
 
-def build_monodromy(chain: Chain, x):
-    return chain.monodromy(x)
-
-
-def detect_vacuum(chain: Chain) -> VacuumData:
-    return chain.vacuum()
-
-
-def transfer(chain: Chain, x) -> Mat:
-    return chain.transfer(x)
-
-
 def check_rtt(chain: Chain, x, y):
     """Max-abs residual of R12(x,y) T1(x) T2(y) - T2(y) T1(x) R12(x,y)."""
     d, dim = chain.d, chain.dim
     dims = [d, d, dim]
     r12 = lift(chain.site_r(x, y), [0, 1], dims)
-    t1 = lift(_aux_matrix(chain, x), [0, 2], dims)
-    t2 = lift(_aux_matrix(chain, y), [1, 2], dims)
+    t1 = lift(aux_matrix(chain, x), [0, 2], dims)
+    t2 = lift(aux_matrix(chain, y), [1, 2], dims)
     return residual(r12 @ t1 @ t2, t2 @ t1 @ r12)
 
 
-def _aux_matrix(chain: Chain, x):
-    """T(x) as one matrix on auxiliary (x) chain."""
+def aux_matrix(chain: Chain, x, sectors=None) -> Mat:
+    """T(x) as one matrix on [aux, chain], block (a, b) holding T^i_k for
+    the a-th and b-th index values of the auxiliary leg.
+
+    `sectors` lists the index values of the auxiliary leg in slot order,
+    grouped (default: the whole local space, one group).  Blocks that pair
+    two different groups are zero, so ((1, 2),) gives the sign block T(+),
+    ((-1, -2),) gives T(-), and ((-2, -1), (1, 2)) their direct sum.
+    """
+    sectors = sectors or (chain.space,)
+    group = {i: n for n, sec in enumerate(sectors) for i in sec}
     grid = chain.monodromy(x)
-    d, dim = chain.d, chain.dim
-    out = Mat.zeros((d * dim, d * dim), chain.backend)
-    for i in chain.space:
-        for k in chain.space:
-            blk = grid[(i, k)]
-            si, sk = chain.space.index(i), chain.space.index(k)
-            piece = Mat.zeros((d, d), chain.backend)
-            piece.num[si, sk] = 1 if chain.backend == EXACT else 1.0
-            if chain.backend == EXACT:
-                piece._amax = 1
-            out = out + piece.kron(blk)
-    return out
+    zero = Mat.zeros((chain.dim, chain.dim), chain.backend)
+    return block_matrix([[grid[(i, k)] if group[i] == group[k] else zero
+                          for k in group] for i in group])
 
 
 def check_commuting(chain: Chain, x, y):

@@ -23,9 +23,8 @@ import numpy as np
 
 from .chain import Chain, chain_spec_from_dict, check_commuting, check_rtt
 from .harness import exit_code, format_table, report, run_suite
-from .linalg import EXACT, FLOAT
-from .nested_gl import ZeroVectorError, gl3_eigenvalue, gl3_residuals, \
-    gl3_vector
+from .linalg import EXACT, FLOAT, ZeroVectorError
+from .nested_gl import gl3_eigenvalue, gl3_residuals, gl3_vector
 from .nested_sp4 import Sp4BetheConfig, sp4_residuals
 from . import bethe_solver as solver
 from .rmatrix import check_unitarity, check_ybe
@@ -118,7 +117,6 @@ def _cmd_sp4(args):
             {"u": cfg.uvec, "v": cfg.vbar, "w": cfg.wbar},
             max([0.0] + [abs(r) for vals in res.values() for _, r in vals]),
             0, True, 1.0)
-        rng = np.random.default_rng(0)
         samples = [complex(3.1 + 0.7j) + k for k in range(args.samples)]
         rep = solver.verify_solution(prob, result, samples)
         out["verdict"] = rep["verdict"]

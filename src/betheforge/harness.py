@@ -22,8 +22,8 @@ import numpy as np
 
 from .chain import (CapacityError, Chain, ChainSpec, check_commuting,
                     check_rtt, default_inhomogeneities)
-from .linalg import EXACT, FLOAT, Mat, residual
-from .nested_gl import (ZeroVectorError, gl2_exchange_residuals, gl2_vector,
+from .linalg import EXACT, FLOAT, Mat, ZeroVectorError, residual
+from .nested_gl import (gl2_exchange_residuals, gl2_vector,
                         gl3_hatted_rtt_residual, gl3_vacuum_relation_residuals)
 from .nested_sp4 import (b_reorder_residual,
                          block_commutativity_residuals, block_rtt_residual,

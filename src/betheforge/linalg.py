@@ -30,9 +30,8 @@ FLOAT = "float"
 _INT64_SAFE = 1 << 62
 
 
-def _as_int_array(a):
-    arr = np.array(a, dtype=object)
-    return arr
+class ZeroVectorError(Exception):
+    """A constructed state vanishes identically."""
 
 
 class Mat:
@@ -265,16 +264,34 @@ def swap_mat(d1, d2, backend):
     return m
 
 
+def block_matrix(rows):
+    """Assemble a grid of Mats (shared backend) into one matrix; exact
+    blocks are brought to a common denominator."""
+    backend = rows[0][0].backend
+    if backend == FLOAT:
+        return Mat(FLOAT, np.block([[m.num for m in row] for row in rows]))
+    den = 1
+    for row in rows:
+        for m in row:
+            den = den * m.den // gcd(den, m.den)
+    num = np.block([[m.num if m.den == den else m.num * (den // m.den)
+                     for m in row] for row in rows])
+    return Mat(EXACT, num, den)._reduced()
+
+
 def hstack(mats):
     """Concatenate Mats horizontally (shared backend)."""
-    backend = mats[0].backend
-    if backend == FLOAT:
-        return Mat(FLOAT, np.hstack([m.num for m in mats]))
-    den = 1
-    for m in mats:
-        den = den * m.den // gcd(den, m.den)
-    cols = [m.num * (den // m.den) for m in mats]
-    return Mat(EXACT, np.hstack(cols), den)._reduced()
+    return block_matrix([mats])
+
+
+def check_nonzero(vec: Mat, what="state"):
+    """Return `vec`, or raise ZeroVectorError if it vanishes (float: norm < 1e-12)."""
+    if vec.backend == EXACT:
+        if vec.is_zero():
+            raise ZeroVectorError(f"{what} is exactly zero")
+    elif vec.norm() < 1e-12:
+        raise ZeroVectorError(f"{what} has norm {vec.norm():.3e}")
+    return vec
 
 
 def rref_basis(vectors, float_tol=1e-9):

@@ -7,9 +7,12 @@ lam1(x) F(u-bar, x) + lam2(x) F(x, u-bar), one Bethe family.
 gl(3): the outer level applies T^a_3(v_j) (a = 1, 2); coefficients live in
 (V*)^(x)M (x) W and are produced by the dressed 2x2 monodromy
 
-    That(x; v) = Rhat_{0,1*}(x, v_1) ... Rhat_{0,M*}(x, v_M) Ttil_0(x),
+    That(x; v) = Rhat_{0,1*}(x, v_1) ... Rhat_{0,M*}(x, v_M) T(+)_0(x),
 
-whose reduced vacuum is f^2 (x) ... (x) f^2 (x) omega with weights
+which is the plus wing of the symplectic dressed monodromy with no minus
+legs (`nested_sp4.hatted_factors` with `minus_roots=()`): the same
+Rhat(+) dual-leg dressing and the same T^a_b (a, b = 1, 2) block.  Its
+reduced vacuum is f^2 (x) ... (x) f^2 (x) omega with weights
 mu1 = lam1/F(v-bar, x), mu2 = lam2.  The inner level is a plain gl(2)
 ansatz in the dressed generators, creation operator That^1_2.
 """
@@ -17,26 +20,10 @@ ansatz in the dressed generators, creation operator That^1_2.
 from __future__ import annotations
 
 from .chain import Chain
-from .linalg import EXACT, Mat, lift, residual
-from .rmatrix import PLUS, build_gl_r, unit_E, unit_F
-from .scalars import F_left, F_right, RootSet, f, g
-
-
-class ZeroVectorError(Exception):
-    """The constructed Bethe vector vanishes identically."""
-
-
-def _roots(seq):
-    return seq if isinstance(seq, RootSet) else RootSet(tuple(seq))
-
-
-def check_nonzero(vec: Mat, what="state"):
-    if vec.backend == EXACT:
-        if vec.is_zero():
-            raise ZeroVectorError(f"{what} is exactly zero")
-    elif vec.norm() < 1e-12:
-        raise ZeroVectorError(f"{what} has norm {vec.norm():.3e}")
-    return vec
+from .linalg import Mat, check_nonzero, lift, residual
+from .nested_sp4 import hatted_block_apply, hatted_matrix
+from .rmatrix import build_gl_r
+from .scalars import F_left, F_right, RootSet, _residual_pair, _roots, g
 
 
 # ---------------------------------------------------------------------
@@ -70,12 +57,6 @@ def gl2_residuals(chain: Chain, roots):
     return out
 
 
-def _residual_pair(lhs, rhs):
-    raw = lhs - rhs
-    scale = max(abs(lhs), abs(rhs), 1)
-    return raw, raw / scale
-
-
 def _ordered_creation(chain: Chain, values):
     """T^1_2(s_1) @ ... @ T^1_2(s_n) as one chain operator."""
     out = Mat.identity(chain.dim, chain.backend)
@@ -105,68 +86,13 @@ def gl2_exchange_residuals(chain: Chain, roots, x):
 
 
 # ---------------------------------------------------------------------
-# gl(3): dressed 2x2 monodromy on dual legs
+# gl(3): the plus-wing dressed monodromy on dual legs
 # ---------------------------------------------------------------------
 
 
-def _sub_monodromy(chain: Chain, x):
-    """Ttil(x) = sum E^b_a (x) T^a_b(x), the 2x2 block on an auxiliary leg."""
-    out = Mat.zeros((2 * chain.dim, 2 * chain.dim), chain.backend)
-    for a in (1, 2):
-        for b in (1, 2):
-            piece = Mat.zeros((2, 2), chain.backend)
-            piece.num[a - 1, b - 1] = 1 if chain.backend == EXACT else 1.0
-            if chain.backend == EXACT:
-                piece._amax = 1
-            out = out + piece.kron(chain.t(a, b, x))
-    return out
-
-
-def _gl3_dressing(x, v, backend, coincident=False):
-    """Rhat_{0,j*}: (1/f(v,x)) (I (x) I* + g(v,x) sum E^a_b (x) F^b_a)."""
-    m = Mat.zeros((4, 4), backend)
-    if coincident:
-        for a in (1, 2):
-            for b in (1, 2):
-                m = m + unit_E(PLUS, a, b, backend).kron(unit_F(PLUS, b, a, backend))
-        return m
-    gv = g(v, x)
-    m = Mat.identity(4, backend)
-    for a in (1, 2):
-        for b in (1, 2):
-            m = m + unit_E(PLUS, a, b, backend).kron(
-                unit_F(PLUS, b, a, backend)).scale(gv)
-    return m.scale(1 / f(v, x))
-
-
-def gl3_hatted_matrix(chain: Chain, x, vvec, coincident_slot=None):
-    """That(x; v) as a full matrix on [aux(2), dual_1..dual_M, chain]."""
-    M = len(vvec)
-    dims = [2] + [2] * M + [chain.dim]
-    out = lift(_sub_monodromy(chain, x), [0, M + 1], dims)
-    for j in reversed(range(M)):
-        coin = coincident_slot is not None and j == coincident_slot
-        fac = lift(_gl3_dressing(x, vvec[j], chain.backend, coincident=coin),
-                   [0, j + 1], dims)
-        out = fac @ out
-    return out
-
-
-def gl3_block_apply(chain: Chain, ab, x, vvec, vec, coincident_slot=None):
-    """Apply That^a_b(x; v) to a vector on [duals, chain]."""
-    a, b = ab
-    M = len(vvec)
-    dims = [2] + [2] * M + [chain.dim]
-    n = vec.shape[0]
-    aux = Mat.basis_vector(2, b - 1, chain.backend)
-    big = aux.kron(vec)
-    cur = lift(_sub_monodromy(chain, x), [0, M + 1], dims) @ big
-    for j in reversed(range(M)):
-        coin = coincident_slot is not None and j == coincident_slot
-        cur = lift(_gl3_dressing(x, vvec[j], chain.backend, coincident=coin),
-                   [0, j + 1], dims) @ cur
-    out = Mat(chain.backend, cur.num[(a - 1) * n:a * n, :].copy(), cur.den)
-    return out
+def _dressed_apply(chain: Chain, ab, x, vvec, vec):
+    """That^a_b(x; v) applied to a vector on [duals, chain]."""
+    return hatted_block_apply(chain, "+", ab, x, vvec, vec, minus_roots=())
 
 
 def gl3_omega_hat(chain: Chain, M):
@@ -189,10 +115,10 @@ def gl3_mu(chain: Chain, i, x, vvec):
 def gl3_vacuum_relation_residuals(chain: Chain, vvec, x):
     """Annihilation and the two weight relations on the reduced vacuum."""
     om = gl3_omega_hat(chain, len(vvec))
-    r21 = gl3_block_apply(chain, (2, 1), x, vvec, om).max_abs()
-    r11 = (gl3_block_apply(chain, (1, 1), x, vvec, om)
+    r21 = _dressed_apply(chain, (2, 1), x, vvec, om).max_abs()
+    r11 = (_dressed_apply(chain, (1, 1), x, vvec, om)
            - om.scale(gl3_mu(chain, 1, x, vvec))).max_abs()
-    r22 = (gl3_block_apply(chain, (2, 2), x, vvec, om)
+    r22 = (_dressed_apply(chain, (2, 2), x, vvec, om)
            - om.scale(gl3_mu(chain, 2, x, vvec))).max_abs()
     return r21, r11, r22
 
@@ -202,7 +128,7 @@ def gl3_inner_state(chain: Chain, uroots, vvec):
     uroots = _roots(uroots)
     phi = gl3_omega_hat(chain, len(vvec))
     for u in reversed(uroots.values):
-        phi = gl3_block_apply(chain, (1, 2), u, vvec, phi)
+        phi = _dressed_apply(chain, (1, 2), u, vvec, phi)
     return phi
 
 
@@ -259,7 +185,7 @@ def gl3_hatted_rtt_residual(chain: Chain, vvec, x, y):
     dims = [2, 2] + [2] * M + [chain.dim]
 
     def lift_hat(z, aux_slot):
-        mat = gl3_hatted_matrix(chain, z, vvec)
+        mat = hatted_matrix(chain, "+", z, vvec, minus_roots=())
         legs = [aux_slot] + list(range(2, 2 + M)) + [2 + M]
         return lift(mat, legs, dims)
 

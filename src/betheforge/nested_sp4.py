@@ -13,8 +13,11 @@ with T(+-) through the string produces the dressed monodromies
     That(eps)(x; u) = Rhat(eps,+)(x,u_1)...Rhat(eps,+)(x,u_N) T(eps)(x)
                       R(eps,-)(x,u_N)...R(eps,-)(x,u_1)
 
-which realize a two-sector auxiliary RTT algebra on Vhat with reduced
-vacuum f^1...f^1 (x) e_{-1}...e_{-1} (x) omega and weights
+which realize a two-sector auxiliary RTT algebra on Vhat.  The minus-leg
+roots are passed as data: the plus wing with no minus legs is the gl(3)
+nesting's dressed monodromy, which `nested_gl` builds through the same
+functions.  The reduced vacuum is f^1...f^1 (x) e_{-1}...e_{-1} (x) omega,
+with weights
 
     mu_1  = lam_1(x) F(u-bar, x-1)      mu_2  = lam_2(x)/F(u-bar, x)
     mu_-1 = lam_-1(x) F(x+1, u-bar)     mu_-2 = lam_-2(x)/F(x, u-bar).
@@ -34,13 +37,15 @@ collision points the middle-family condition forces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .chain import Chain
-from .linalg import EXACT, Mat, hstack, lift, residual, rref_basis
-from .nested_gl import ZeroVectorError, check_nonzero, _residual_pair, _roots
-from .rmatrix import (build_block_r, build_dual_pp, build_hatted_r,
-                      coincident_block_r, coincident_hatted_r)
-from .scalars import F2_left, F2_right, F_left, F_right, RootSet, f, g
+from .chain import Chain, aux_matrix
+from .linalg import (EXACT, Mat, ZeroVectorError, check_nonzero, hstack, lift,
+                     residual, rref_basis)
+from .rmatrix import (MINUS, PLUS, build_block_r, build_dual_pp, build_hatted_r,
+                      build_tilde_r, coincident_block_r, coincident_hatted_r)
+from .scalars import (F2_left, F2_right, F_left, F_right, RootSet, _residual_pair,
+                      _roots, g)
 
 
 class VacuumMismatchError(Exception):
@@ -52,53 +57,18 @@ class VacuumMismatchError(Exception):
 # ---------------------------------------------------------------------
 
 
-def block_aux_matrix(chain: Chain, sign, x):
-    """T(+) or T(-) as one matrix on [aux(2), W].
-
-    Entry (i, k) of the plus grid is T^i_k, of the minus grid T^{-i}_{-k};
-    both families use auxiliary slots (i-1, k-1).
-    """
-    D = chain.dim
-    out = Mat.zeros((2 * D, 2 * D), chain.backend)
-    sgn = 1 if sign == "+" else -1
-    for i in (1, 2):
-        for k in (1, 2):
-            piece = Mat.zeros((2, 2), chain.backend)
-            piece.num[i - 1, k - 1] = 1 if chain.backend == EXACT else 1.0
-            if chain.backend == EXACT:
-                piece._amax = 1
-            out = out + piece.kron(chain.t(sgn * i, sgn * k, x))
-    return out
-
-
-@dataclass
-class BlockMonodromy:
-    """The two 2x2 sign-block grids at a common evaluation point."""
-
-    chain: Chain
-    x: object
-
-    def entry(self, sign, i, k):
-        sgn = 1 if sign == "+" else -1
-        return self.chain.t(sgn * i, sgn * k, self.x)
-
-    def aux_matrix(self, sign):
-        return block_aux_matrix(self.chain, sign, self.x)
-
-
-def block_monodromy(chain: Chain, x) -> BlockMonodromy:
-    return BlockMonodromy(chain, x)
-
-
-def _w0_points(chain):
-    return chain._scan_points(2)
+# auxiliary-leg index groups of T(+), T(-) (entry (i, k) of the minus grid
+# is T^{-i}_{-k}; both use slots (i-1, k-1)) and of their direct sum, whose
+# leg keeps the SP4_SPACE slot order of the two-sector R-matrix
+BLOCK_SECTORS = {"+": (PLUS,), "-": (MINUS,)}
+TILDE_SECTORS = ((-2, -1), (1, 2))
 
 
 def w0_basis(chain: Chain):
     """Exact basis of W0: closure of omega under T(-) then T(+) generators."""
     if getattr(chain, "_w0_cache", None) is not None:
         return chain._w0_cache
-    pts = _w0_points(chain)
+    pts = chain._scan_points(2)
     basis = [chain.vacuum().omega]
 
     def close_under(signs):
@@ -145,8 +115,8 @@ def block_rtt_residual(chain: Chain, eps1, eps2, x, y):
     D = chain.dim
     dims = [2, 2, D]
     r = lift(build_block_r(eps1, eps2, x, y).mat, [0, 1], dims)
-    t1 = lift(block_aux_matrix(chain, eps1, x), [0, 2], dims)
-    t2 = lift(block_aux_matrix(chain, eps2, y), [1, 2], dims)
+    t1 = lift(aux_matrix(chain, x, BLOCK_SECTORS[eps1]), [0, 2], dims)
+    t2 = lift(aux_matrix(chain, y, BLOCK_SECTORS[eps2]), [1, 2], dims)
     diff = (r @ t1 @ t2) - (t2 @ t1 @ r)
     restrict = Mat.identity(4, chain.backend).kron(w0_columns(chain))
     return (diff @ restrict).max_abs()
@@ -154,27 +124,10 @@ def block_rtt_residual(chain: Chain, eps1, eps2, x, y):
 
 def tilde_rtt_residual(chain: Chain, x, y):
     """RTT of T(+) + T(-) against the two-sector 16x16 R-matrix, on W0."""
-    from .rmatrix import SP4_SPACE, build_tilde_r
-    D = chain.dim
-    dims = [4, 4, D]
-    # block-diagonal part of the full monodromy on a 4-dim auxiliary leg
-    t_tilde = {}
-    for z in (x, y):
-        out = Mat.zeros((4 * D, 4 * D), chain.backend)
-        for sgn in (1, -1):
-            for i in (1, 2):
-                for k in (1, 2):
-                    piece = Mat.zeros((4, 4), chain.backend)
-                    si = SP4_SPACE.index(sgn * i)
-                    sk = SP4_SPACE.index(sgn * k)
-                    piece.num[si, sk] = 1 if chain.backend == EXACT else 1.0
-                    if chain.backend == EXACT:
-                        piece._amax = 1
-                    out = out + piece.kron(chain.t(sgn * i, sgn * k, z))
-        t_tilde[z] = out
+    dims = [4, 4, chain.dim]
     r = lift(build_tilde_r(x, y).mat, [0, 1], dims)
-    t1 = lift(t_tilde[x], [0, 2], dims)
-    t2 = lift(t_tilde[y], [1, 2], dims)
+    t1 = lift(aux_matrix(chain, x, TILDE_SECTORS), [0, 2], dims)
+    t2 = lift(aux_matrix(chain, y, TILDE_SECTORS), [1, 2], dims)
     diff = (r @ t1 @ t2) - (t2 @ t1 @ r)
     restrict = Mat.identity(16, chain.backend).kron(w0_columns(chain))
     return (diff @ restrict).max_abs()
@@ -215,76 +168,22 @@ def pairing_matrix(chain: Chain, args, n_aux=0) -> Mat:
 
     `args` is the ordered list of (slot, value) pairs; slot j populates the
     j-th plus-dual and minus tensor legs while the operator factors multiply
-    in list order.  Maps [aux^n (x) duals (x) minuses (x) W] -> [aux^n (x) W].
+    in list order.  Maps [aux^n (x) duals (x) minuses (x) W] -> [aux^n (x) W];
+    its column blocks are the products of T^{i_j}_{-k_j}(value), one block per
+    pair of multi-indices (i, k) in lexicographic order.
     """
     N = len(args)
-    p = _assemble_pairing(chain, args, N, chain.dim)
+    ops = []
+    for ii in product((1, 2), repeat=N):
+        for kk in product((1, 2), repeat=N):
+            op = Mat.identity(chain.dim, chain.backend)
+            for slot, val in args:
+                op = op @ chain.t(ii[slot], -kk[slot], val)
+            ops.append(op)
+    p = hstack(ops)
     if n_aux:
         return Mat.identity(2 ** n_aux, chain.backend).kron(p)
     return p
-
-
-def _assemble_pairing(chain: Chain, args, N, D):
-    from fractions import Fraction
-    import numpy as np
-    cols = (2 ** N) * (2 ** N) * D
-    if chain.backend == EXACT:
-        num = np.zeros((D, cols), dtype=object)
-        den = 1
-        blocks = {}
-        for si in range(2 ** N):
-            ii = [(si >> (N - 1 - j)) & 1 for j in range(N)]
-            for sk in range(2 ** N):
-                kk = [(sk >> (N - 1 - j)) & 1 for j in range(N)]
-                op = Mat.identity(D, EXACT)
-                for slot, val in args:
-                    op = op @ chain.t(ii[slot] + 1, -(kk[slot] + 1), val)
-                blocks[(si, sk)] = op
-                from math import gcd
-                den = den * op.den // gcd(den, op.den)
-        for (si, sk), op in blocks.items():
-            scale = den // op.den
-            col0 = (si * (2 ** N) + sk) * D
-            num[:, col0:col0 + D] = op.num * scale
-        return Mat(EXACT, num, den)._reduced()
-    num = np.zeros((D, cols), dtype=np.complex128)
-    for si in range(2 ** N):
-        ii = [(si >> (N - 1 - j)) & 1 for j in range(N)]
-        for sk in range(2 ** N):
-            kk = [(sk >> (N - 1 - j)) & 1 for j in range(N)]
-            op = Mat.identity(D, chain.backend)
-            for slot, val in args:
-                op = op @ chain.t(ii[slot] + 1, -(kk[slot] + 1), val)
-            col0 = (si * (2 ** N) + sk) * D
-            num[:, col0:col0 + D] = op.num
-    return Mat(chain.backend, num)
-
-
-@dataclass
-class BOperatorChain:
-    """Ordered B-string B_1(u_1)...B_N(u_N) with its contraction matrix."""
-
-    chain: Chain
-    uvec: tuple
-
-    def entry(self, ivec, kvec):
-        op = Mat.identity(self.chain.dim, self.chain.backend)
-        for j, u in enumerate(self.uvec):
-            op = op @ self.chain.t(ivec[j], -kvec[j], u)
-        return op
-
-    def matrix(self, n_aux=0):
-        args = [(j, u) for j, u in enumerate(self.uvec)]
-        return pairing_matrix(self.chain, args, n_aux=n_aux)
-
-    def pair(self, phi: Mat) -> Mat:
-        return self.matrix() @ phi
-
-
-def b_chain(chain: Chain, uvec) -> BOperatorChain:
-    vals = tuple(uvec)
-    RootSet(vals)  # validates distinctness
-    return BOperatorChain(chain, vals)
 
 
 def b_reorder_residual(chain: Chain, x, y):
@@ -305,15 +204,21 @@ def b_reorder_residual(chain: Chain, x, y):
 # ---------------------------------------------------------------------
 
 
-def _hat_dims(chain: Chain, N):
-    return [2] + [2] * N + [2] * N + [chain.dim]
+def _hat_dims(chain: Chain, n_legs):
+    return [2] + [2] * n_legs + [chain.dim]
 
 
 def hatted_factors(chain: Chain, sign, x, uvec, coincident_slot=None,
-                   monic=False):
-    """Left-to-right factor list of That(sign)(x; u) on [aux, duals, minuses, W]."""
-    N = len(uvec)
-    dims = _hat_dims(chain, N)
+                   monic=False, minus_roots=None):
+    """Left-to-right factor list of That(sign)(x; u) on [aux, duals, minuses, W].
+
+    The dual legs carry the roots `uvec` and the minus legs `minus_roots`,
+    which default to `uvec` as in the B-string.  The gl(3) nesting passes
+    no minus roots: its dressed monodromy is the plus wing on dual legs only.
+    """
+    minus = tuple(uvec) if minus_roots is None else tuple(minus_roots)
+    N, n_minus = len(uvec), len(minus)
+    dims = _hat_dims(chain, N + n_minus)
     backend = chain.backend
     facs = []
     for j in range(N):
@@ -322,28 +227,31 @@ def hatted_factors(chain: Chain, sign, x, uvec, coincident_slot=None,
         else:
             m = build_hatted_r(sign, x, uvec[j], monic=monic).mat
         facs.append(lift(m, [0, 1 + j], dims))
-    facs.append(lift(block_aux_matrix(chain, sign, x), [0, 1 + 2 * N], dims))
-    for j in reversed(range(N)):
+    facs.append(lift(aux_matrix(chain, x, BLOCK_SECTORS[sign]),
+                     [0, 1 + N + n_minus], dims))
+    for j in reversed(range(n_minus)):
         if coincident_slot is not None and j == coincident_slot:
             m = coincident_block_r(sign, "-", backend).mat
         else:
-            m = build_block_r(sign, "-", x, uvec[j], monic=monic).mat
+            m = build_block_r(sign, "-", x, minus[j], monic=monic).mat
         facs.append(lift(m, [0, 1 + N + j], dims))
     return facs
 
 
 def hatted_matrix(chain: Chain, sign, x, uvec, coincident_slot=None,
-                  monic=False) -> Mat:
+                  monic=False, minus_roots=None) -> Mat:
     out = None
-    for fac in hatted_factors(chain, sign, x, uvec, coincident_slot, monic):
+    for fac in hatted_factors(chain, sign, x, uvec, coincident_slot, monic,
+                              minus_roots):
         out = fac if out is None else out @ fac
     return out
 
 
 def hatted_apply(chain: Chain, sign, x, uvec, vec, coincident_slot=None,
-                 monic=False) -> Mat:
+                 monic=False, minus_roots=None) -> Mat:
     """Apply That(sign)(x; u) to a vector carrying the auxiliary leg."""
-    facs = hatted_factors(chain, sign, x, uvec, coincident_slot, monic)
+    facs = hatted_factors(chain, sign, x, uvec, coincident_slot, monic,
+                          minus_roots)
     cur = vec
     for fac in reversed(facs):
         cur = fac @ cur
@@ -351,7 +259,8 @@ def hatted_apply(chain: Chain, sign, x, uvec, vec, coincident_slot=None,
 
 
 def hatted_block_apply(chain: Chain, sign, ik, x, uvec, vec,
-                       coincident_slot=None, monic=False) -> Mat:
+                       coincident_slot=None, monic=False,
+                       minus_roots=None) -> Mat:
     """Apply the grid entry That^{si}_{sk} to a vector on [duals, minuses, W].
 
     For sign "+" the entry is That^i_k, for sign "-" it is That^{-i}_{-k};
@@ -360,7 +269,8 @@ def hatted_block_apply(chain: Chain, sign, ik, x, uvec, vec,
     i, k = ik
     aux = Mat.basis_vector(2, k - 1, chain.backend)
     big = aux.kron(vec)
-    big = hatted_apply(chain, sign, x, uvec, big, coincident_slot, monic)
+    big = hatted_apply(chain, sign, x, uvec, big, coincident_slot, monic,
+                       minus_roots)
     n = vec.shape[0]
     return Mat(chain.backend, big.num[(i - 1) * n:i * n, :].copy(), big.den)
 
@@ -436,7 +346,7 @@ def multi_exchange_residual(chain: Chain, sign, x, uvec):
     u = RootSet(vals)
     std_args = [(j, vals[j]) for j in range(N)]
     p_std = pairing_matrix(chain, std_args, n_aux=1)
-    lhs = block_aux_matrix(chain, sign, x) @ p_std
+    lhs = aux_matrix(chain, x, BLOCK_SECTORS[sign]) @ p_std
     coeff = F_left(u, x) if sign == "+" else F_right(x, u)
     rhs = (p_std @ hatted_matrix(chain, sign, x, vals)).scale(coeff)
     for k in range(N):
@@ -456,7 +366,7 @@ def multi_exchange_residual(chain: Chain, sign, x, uvec):
 def _reorder_chain(chain: Chain, vals, k):
     """(R*)(u_k,u_1)...(R*)(u_k,u_{k-1}) R(--)(u_1,u_k)...R(--)(u_{k-1},u_k)."""
     N = len(vals)
-    dims = _hat_dims(chain, N)
+    dims = _hat_dims(chain, 2 * N)
     dim_tot = 1
     for d in dims:
         dim_tot *= d
@@ -501,173 +411,130 @@ def dressed_rtt_residual(chain: Chain, eps0, eps0p, x, y, uvec):
 # ---------------------------------------------------------------------
 
 
+# creation entries of the two second-level strings, and the string that
+# belongs to each sector
+_CREATION = {"v": ("+", (2, 1)), "w": ("-", (1, 2))}
+_STRING_OF = {"+": "v", "-": "w"}
+
+# The diagonal dressed entries (sign, i), i.e. That^i_i resp.
+# That^{-i}_{-i}: weight index, whether their structure functions read
+# f(x, .) ("right") or f(., x) ("left"), and the shift of x in the v-bar and
+# w-bar factors of their second-level eigenvalue.  Entries (+, i) and
+# (-, 3-i) are partners: they share a side, and exchanging either through
+# the other sector's string brings in the partner at the exchanged root.
+_DIAGONAL = {
+    ("+", 1): (1, "right", {"v": 0, "w": -2}),
+    ("+", 2): (2, "left", {"v": 0, "w": -2}),
+    ("-", 1): (-1, "left", {"v": 2, "w": 0}),
+    ("-", 2): (-2, "right", {"v": 2, "w": 0}),
+}
+
+# the eight exchange relations: a diagonal entry through one creation
+# string, its own sector's string first, then the other sector's
+_CREATION_RELATIONS = (
+    (("+", 1), "v"), (("+", 2), "v"), (("-", 1), "w"), (("-", 2), "w"),
+    (("+", 1), "w"), (("+", 2), "w"), (("-", 1), "v"), (("-", 2), "v"))
+
+
+def _partner(entry):
+    sign, i = entry
+    return ("-" if sign == "+" else "+", 3 - i)
+
+
+def _F(side, x, roots):
+    return F_right(x, roots) if side == "right" else F_left(roots, x)
+
+
+def _g(side, x, root):
+    return g(x, root) if side == "right" else g(root, x)
+
+
+def _apply_diagonal(chain: Chain, entry, x, vals, m):
+    sign, i = entry
+    return hatted_block_apply(chain, sign, (i, i), x, vals, m)
+
+
+def _created(chain: Chain, vals, roots, m, monic=False):
+    """That^2_1(v-bar) That^{-1}_{-2}(w-bar) m, roots = {"v": v-bar, "w": w-bar}."""
+    for string in ("w", "v"):
+        sign, ik = _CREATION[string]
+        for z in reversed(tuple(roots[string])):
+            m = hatted_block_apply(chain, sign, ik, z, vals, m, monic=monic)
+    return m
+
+
+def _exchanged(roots, string, r, entry, x):
+    """The root sets with root r of `string` dropped and x appended to the
+    string of `entry`'s sector."""
+    out = dict(roots)
+    out[string] = roots[string].removing(r)
+    own = _STRING_OF[entry[0]]
+    out[own] = out[own].appending(x)
+    return out
+
+
 def tilde_state(chain: Chain, uvec, vbar, wbar, monic=True) -> Mat:
     """That^2_1(v_1)...That^2_1(v_P) That^{-1}_{-2}(w_1)...(w_Q) OmegaHat."""
     vals = tuple(uvec)
-    phi = omega_hat(chain, len(vals))
-    for w in reversed(tuple(wbar)):
-        phi = hatted_block_apply(chain, "-", (1, 2), w, vals, phi, monic=monic)
-    for v in reversed(tuple(vbar)):
-        phi = hatted_block_apply(chain, "+", (2, 1), v, vals, phi, monic=monic)
-    return phi
+    return _created(chain, vals, {"v": vbar, "w": wbar},
+                    omega_hat(chain, len(vals)), monic)
 
 
 def tilde_creation_residuals(chain: Chain, uvec, x, vbar, wbar):
-    """The eight exchange relations of the second-level creation strings,
-    applied to a spanning set of Vhat.  Returns a list of residuals."""
+    """The eight exchange relations of the second-level creation strings
+    (`_CREATION_RELATIONS`), applied to a spanning set of Vhat.  Returns a
+    list of residuals."""
     vals = tuple(uvec)
-    N = len(vals)
-    v = RootSet(tuple(vbar))
-    w = RootSet(tuple(wbar))
-    cols = w0hat_columns(chain, N)
-
-    def ap(sign, ik, z, m):
-        return hatted_block_apply(chain, sign, ik, z, vals, m)
-
-    def creation_v(roots, m):
-        for vr in reversed(tuple(roots)):
-            m = ap("+", (2, 1), vr, m)
-        return m
-
-    def creation_w(roots, m):
-        for ws in reversed(tuple(roots)):
-            m = ap("-", (1, 2), ws, m)
-        return m
-
+    roots = {"v": RootSet(tuple(vbar)), "w": RootSet(tuple(wbar))}
+    cols = w0hat_columns(chain, len(vals))
     out = []
-    # diagonal entries through the plus-creation string
-    lhs = ap("+", (1, 1), x, creation_v(v, cols))
-    rhs = creation_v(v, ap("+", (1, 1), x, cols)).scale(F_right(x, v))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        rhs = rhs - creation_v(rest.appending(x), ap("+", (1, 1), vr, cols)).scale(
-            g(x, vr) * F_right(vr, rest))
-    out.append(residual(lhs, rhs))
-
-    lhs = ap("+", (2, 2), x, creation_v(v, cols))
-    rhs = creation_v(v, ap("+", (2, 2), x, cols)).scale(F_left(v, x))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        rhs = rhs - creation_v(rest.appending(x), ap("+", (2, 2), vr, cols)).scale(
-            g(vr, x) * F_left(rest, vr))
-    out.append(residual(lhs, rhs))
-
-    # diagonal entries through the minus-creation string
-    lhs = ap("-", (1, 1), x, creation_w(w, cols))
-    rhs = creation_w(w, ap("-", (1, 1), x, cols)).scale(F_left(w, x))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        rhs = rhs - creation_w(rest.appending(x), ap("-", (1, 1), ws, cols)).scale(
-            g(ws, x) * F_left(rest, ws))
-    out.append(residual(lhs, rhs))
-
-    lhs = ap("-", (2, 2), x, creation_w(w, cols))
-    rhs = creation_w(w, ap("-", (2, 2), x, cols)).scale(F_right(x, w))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        rhs = rhs - creation_w(rest.appending(x), ap("-", (2, 2), ws, cols)).scale(
-            g(x, ws) * F_right(ws, rest))
-    out.append(residual(lhs, rhs))
-
-    # cross relations with the shifted arguments x -+ 2
-    lhs = ap("+", (1, 1), x, creation_w(w, cols))
-    rhs = creation_w(w, ap("+", (1, 1), x, cols)).scale(F_right(x - 2, w))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        rhs = rhs + ap("+", (2, 1), x, creation_w(rest, ap("-", (2, 2), ws, cols))).scale(
-            g(x - 2, ws) * F_right(ws, rest))
-    out.append(residual(lhs, rhs))
-
-    lhs = ap("+", (2, 2), x, creation_w(w, cols))
-    rhs = creation_w(w, ap("+", (2, 2), x, cols)).scale(F_left(w, x - 2))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        rhs = rhs + ap("+", (2, 1), x, creation_w(rest, ap("-", (1, 1), ws, cols))).scale(
-            g(ws, x - 2) * F_left(rest, ws))
-    out.append(residual(lhs, rhs))
-
-    lhs = ap("-", (1, 1), x, creation_v(v, cols))
-    rhs = creation_v(v, ap("-", (1, 1), x, cols)).scale(F_left(v, x + 2))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        rhs = rhs + creation_v(rest, ap("-", (1, 2), x, ap("+", (2, 2), vr, cols))).scale(
-            g(vr, x + 2) * F_left(rest, vr))
-    out.append(residual(lhs, rhs))
-
-    lhs = ap("-", (2, 2), x, creation_v(v, cols))
-    rhs = creation_v(v, ap("-", (2, 2), x, cols)).scale(F_right(x + 2, v))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        rhs = rhs + creation_v(rest, ap("-", (1, 2), x, ap("+", (1, 1), vr, cols))).scale(
-            g(x + 2, vr) * F_right(vr, rest))
-    out.append(residual(lhs, rhs))
-
+    for entry, string in _CREATION_RELATIONS:
+        _, side, shift = _DIAGONAL[entry]
+        own = string == _STRING_OF[entry[0]]
+        at_root, sgn = (entry, -1) if own else (_partner(entry), 1)
+        alone = {"v": RootSet(), "w": RootSet(), string: roots[string]}
+        y = x + shift[string]
+        lhs = _apply_diagonal(chain, entry, x, vals,
+                              _created(chain, vals, alone, cols))
+        rhs = _created(chain, vals, alone,
+                       _apply_diagonal(chain, entry, x, vals, cols)).scale(
+            _F(side, y, roots[string]))
+        for r, z in enumerate(roots[string]):
+            rest = roots[string].removing(r)
+            term = _created(chain, vals, _exchanged(alone, string, r, entry, x),
+                            _apply_diagonal(chain, at_root, z, vals, cols))
+            rhs = rhs + term.scale(sgn * _g(side, y, z) * _F(side, z, rest))
+        out.append(residual(lhs, rhs))
     return out
 
 
 def tilde_offshell_residuals(chain: Chain, uvec, x, vbar, wbar):
-    """Off-shell action of the four diagonal dressed entries on the
-    second-level state, against the explicit weight expansion."""
+    """Off-shell action of the four diagonal dressed entries (`_DIAGONAL`)
+    on the second-level state, against the explicit weight expansion."""
     vals = tuple(uvec)
-    v = RootSet(tuple(vbar))
-    w = RootSet(tuple(wbar))
-    mu = lambda i, z: mu_weight(chain, i, z, vals)
-    state = lambda vb, wb: tilde_state(chain, vals, vb, wb, monic=False)
-    base = state(v, w)
+    roots = {"v": RootSet(tuple(vbar)), "w": RootSet(tuple(wbar))}
+    omega = omega_hat(chain, len(vals))
+
+    def eigen_factor(entry, z, rs):
+        i, side, shift = _DIAGONAL[entry]
+        return (mu_weight(chain, i, z, vals) * _F(side, z + shift["v"], rs["v"])
+                * _F(side, z + shift["w"], rs["w"]))
+
+    base = _created(chain, vals, roots, omega)
     out = []
-
-    def ap(sign, ik, z, m):
-        return hatted_block_apply(chain, sign, ik, z, vals, m)
-
-    # plus-plus diagonal
-    lhs = ap("+", (1, 1), x, base)
-    rhs = base.scale(mu(1, x) * F_right(x, v) * F_right(x - 2, w))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        rhs = rhs - state(rest.appending(x), w).scale(
-            mu(1, vr) * g(x, vr) * F_right(vr, rest) * F_right(vr - 2, w))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        rhs = rhs + state(v.appending(x), rest).scale(
-            mu(-2, ws) * g(x - 2, ws) * F_right(ws + 2, v) * F_right(ws, rest))
-    out.append(residual(lhs, rhs))
-
-    lhs = ap("+", (2, 2), x, base)
-    rhs = base.scale(mu(2, x) * F_left(v, x) * F_left(w, x - 2))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        rhs = rhs - state(rest.appending(x), w).scale(
-            mu(2, vr) * g(vr, x) * F_left(rest, vr) * F_left(w, vr - 2))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        rhs = rhs + state(v.appending(x), rest).scale(
-            mu(-1, ws) * g(ws, x - 2) * F_left(v, ws + 2) * F_left(rest, ws))
-    out.append(residual(lhs, rhs))
-
-    lhs = ap("-", (1, 1), x, base)
-    rhs = base.scale(mu(-1, x) * F_left(v, x + 2) * F_left(w, x))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        rhs = rhs + state(rest, w.appending(x)).scale(
-            mu(2, vr) * g(vr, x + 2) * F_left(rest, vr) * F_left(w, vr - 2))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        rhs = rhs - state(v, rest.appending(x)).scale(
-            mu(-1, ws) * g(ws, x) * F_left(v, ws + 2) * F_left(rest, ws))
-    out.append(residual(lhs, rhs))
-
-    lhs = ap("-", (2, 2), x, base)
-    rhs = base.scale(mu(-2, x) * F_right(x + 2, v) * F_right(x, w))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        rhs = rhs + state(rest, w.appending(x)).scale(
-            mu(1, vr) * g(x + 2, vr) * F_right(vr, rest) * F_right(vr - 2, w))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        rhs = rhs - state(v, rest.appending(x)).scale(
-            mu(-2, ws) * g(x, ws) * F_right(ws + 2, v) * F_right(ws, rest))
-    out.append(residual(lhs, rhs))
-
+    for entry, (_, side, shift) in _DIAGONAL.items():
+        lhs = _apply_diagonal(chain, entry, x, vals, base)
+        rhs = base.scale(eigen_factor(entry, x, roots))
+        for string in ("v", "w"):
+            own = string == _STRING_OF[entry[0]]
+            at_root, sgn = (entry, -1) if own else (_partner(entry), 1)
+            for r, z in enumerate(roots[string]):
+                rest = dict(roots, **{string: roots[string].removing(r)})
+                state = _created(chain, vals,
+                                 _exchanged(roots, string, r, entry, x), omega)
+                rhs = rhs + state.scale(sgn * _g(side, x + shift[string], z)
+                                        * eigen_factor(at_root, z, rest))
+        out.append(residual(lhs, rhs))
     return out
 
 
@@ -764,10 +631,3 @@ def tilde_eigen_residuals(chain: Chain, cfg: Sp4BetheConfig, x):
         e = prop_eigenvalue(chain, sign, x, cfg)
         out.append(residual(hphi, phi.scale(e)))
     return out
-
-
-def level_merge_residual(chain: Chain, cfg: Sp4BetheConfig, k):
-    """Matching condition between the two second-level eigenvalue halves at
-    the k-th outer root, in the pole-cancelled combined form (identical to
-    the outer Bethe family)."""
-    return sp4_residuals(chain, cfg)["u"][k]

@@ -104,6 +104,17 @@ class RootSet:
         return f"RootSet({list(self.values)!r})"
 
 
+def _roots(seq):
+    return seq if isinstance(seq, RootSet) else RootSet(tuple(seq))
+
+
+def _residual_pair(lhs, rhs):
+    """(raw, relative) residual of the condition lhs = rhs."""
+    raw = lhs - rhs
+    scale = max(abs(lhs), abs(rhs), 1)
+    return raw, raw / scale
+
+
 def _vals(roots):
     return roots.values if isinstance(roots, RootSet) else tuple(roots)
 
@@ -156,7 +167,7 @@ def sum_identity_residuals(roots, x, y):
 
     Both sides are evaluated independently; exact backend returns (0, 0).
     """
-    roots = roots if isinstance(roots, RootSet) else RootSet(roots)
+    roots = _roots(roots)
     zero = Fraction(0) if is_exact(x) else complex(0.0)
     lhs1 = lhs2 = zero
     for i, u in enumerate(roots):
@@ -166,10 +177,7 @@ def sum_identity_residuals(roots, x, y):
         lhs2 = lhs2 + w * F_left(rest, u)
     rhs1 = g(x, y) * (F_right(x, roots) - F_right(y, roots))
     rhs2 = g(x, y) * (F_left(roots, y) - F_left(roots, x))
-    r1, r2 = lhs1 - rhs1, lhs2 - rhs2
-    if is_exact(x):
-        return abs(r1), abs(r2)
-    return abs(r1), abs(r2)
+    return abs(lhs1 - rhs1), abs(lhs2 - rhs2)
 
 
 # -- serialization ------------------------------------------------------

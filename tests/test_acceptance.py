@@ -21,8 +21,7 @@ from betheforge import bethe_solver as solver
 from betheforge.chain import Chain, ChainSpec, check_commuting, \
     default_inhomogeneities
 from betheforge.harness import random_points, run_case
-from betheforge.linalg import EXACT, FLOAT
-from betheforge.nested_gl import ZeroVectorError
+from betheforge.linalg import EXACT, FLOAT, ZeroVectorError
 from betheforge.rmatrix import check_unitarity, check_ybe
 from betheforge.scalars import RootSet, sum_identity_residuals
 

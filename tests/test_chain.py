@@ -6,10 +6,10 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from betheforge.chain import (CapacityError, Chain, ChainSpec,
+from betheforge.chain import (CapacityError, Chain, ChainSpec, aux_matrix,
                               chain_spec_from_dict, check_commuting,
                               check_rtt, default_inhomogeneities, spectrum)
-from betheforge.linalg import EXACT, residual
+from betheforge.linalg import EXACT, FLOAT, residual
 from betheforge.rmatrix import build_gl_r
 from betheforge.scalars import PoleError, f, h
 
@@ -53,6 +53,28 @@ def test_single_site_monodromy_is_r_matrix_blocks():
             assert residual(grid[(i, k)], rmat.block(i - 1, k - 1, 2, 2)) == 0
     with pytest.raises(PoleError):
         ch.monodromy(Fr(0))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_aux_matrix_blocks_are_monodromy_entries(backend):
+    x = Fr(17, 5) if backend == EXACT else complex(3.4, 0.3)
+    for model in ("gl2", "gl3", "sp4"):
+        ch = _chain(model, 2, backend)
+        D = ch.dim
+        full = aux_matrix(ch, x)
+        for a, i in enumerate(ch.space):
+            for b, k in enumerate(ch.space):
+                assert residual(full.block(a, b, D, D), ch.t(i, k, x)) == 0
+    # two sectors on the symplectic auxiliary leg: mixed-sign blocks vanish
+    sectors = ((-2, -1), (1, 2))
+    tilde = aux_matrix(ch, x, sectors)
+    for a, i in enumerate(sectors[0] + sectors[1]):
+        for b, k in enumerate(sectors[0] + sectors[1]):
+            blk = tilde.block(a, b, D, D)
+            if (i > 0) == (k > 0):
+                assert residual(blk, ch.t(i, k, x)) == 0
+            else:
+                assert blk.is_zero() and not ch.t(i, k, x).is_zero()
 
 
 def test_vacuum_detection_conventions():

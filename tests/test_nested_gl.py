@@ -6,9 +6,10 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from betheforge.chain import Chain, ChainSpec, default_inhomogeneities
-from betheforge.linalg import EXACT, residual
-from betheforge.nested_gl import (ZeroVectorError, gl2_eigenvalue,
+from betheforge.chain import (Chain, ChainSpec, aux_matrix,
+                              default_inhomogeneities)
+from betheforge.linalg import EXACT, Mat, ZeroVectorError, lift, residual
+from betheforge.nested_gl import (gl2_eigenvalue,
                                   gl2_exchange_residuals, gl2_residuals,
                                   gl2_vector, gl3_eigenvalue,
                                   gl3_hatted_rtt_residual, gl3_inner_state,
@@ -84,6 +85,32 @@ def test_gl3_reduced_vacuum_relations(gl3_chain):
     from betheforge.scalars import f as sf
     assert gl3_mu(gl3_chain, 1, x, (v,)) == gl3_chain.lam(1, x) / sf(v, x)
     assert gl3_mu(gl3_chain, 2, x, (v,)) == gl3_chain.lam(2, x)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2])
+def test_gl3_dressed_monodromy_is_the_plus_wing(gl3_chain, M):
+    # That(x; v) = Rhat(+)(x, v_1) ... Rhat(+)(x, v_M) T(+)(x), written out
+    from betheforge.nested_sp4 import hatted_matrix
+    from betheforge.rmatrix import build_hatted_r
+    rng = np.random.default_rng(20 + M)
+    *vvec, x, u = _clear_points(rng, M + 2)
+    dims = [2] + [2] * M + [gl3_chain.dim]
+
+    def written_out(z):
+        out = lift(aux_matrix(gl3_chain, z, ((1, 2),)), [0, M + 1], dims)
+        for j in reversed(range(M)):
+            out = lift(build_hatted_r("+", z, vvec[j]).mat, [0, j + 1],
+                       dims) @ out
+        return out
+
+    got = hatted_matrix(gl3_chain, "+", x, tuple(vvec), minus_roots=())
+    assert residual(got, written_out(x)) == 0
+    # the inner gl(3) state is That^1_2(u; v) on the reduced vacuum
+    n = (2 ** M) * gl3_chain.dim
+    that = written_out(u)
+    t12 = Mat(EXACT, that.num[:n, n:], that.den)
+    phi = gl3_inner_state(gl3_chain, [u], tuple(vvec))
+    assert residual(phi, t12 @ gl3_omega_hat(gl3_chain, M)) == 0
 
 
 def test_gl3_dressed_rtt():

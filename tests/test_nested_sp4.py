@@ -7,14 +7,12 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from betheforge.chain import Chain, ChainSpec, default_inhomogeneities
-from betheforge.linalg import EXACT, Mat, residual
-from betheforge.nested_gl import ZeroVectorError
-from betheforge.nested_sp4 import (BOperatorChain, Sp4BetheConfig,
-                                   b_chain, b_reorder_residual,
-                                   block_aux_matrix,
+from betheforge.chain import Chain, ChainSpec, aux_matrix, default_inhomogeneities
+from betheforge.linalg import EXACT, Mat, ZeroVectorError, residual
+from betheforge.nested_sp4 import (BLOCK_SECTORS, Sp4BetheConfig,
+                                   b_reorder_residual,
                                    block_commutativity_residuals,
-                                   block_monodromy, block_rtt_residual,
+                                   block_rtt_residual,
                                    dressed_rtt_residual,
                                    hatted_matrix, mu_weight,
                                    multi_exchange_residual,
@@ -92,30 +90,29 @@ def test_sector_rtt_and_commutativity(sp1, sp2):
 
 def test_block_monodromy_entries(sp2):
     x = Fr(17, 5)
-    bm = block_monodromy(sp2, x)
-    assert residual(bm.entry("+", 1, 2), sp2.t(1, 2, x)) == 0
-    assert residual(bm.entry("-", 2, 1), sp2.t(-2, -1, x)) == 0
-    aux = bm.aux_matrix("+")
-    assert residual(aux.block(0, 1, sp2.dim, sp2.dim), sp2.t(1, 2, x)) == 0
+    D = sp2.dim
+    plus = aux_matrix(sp2, x, BLOCK_SECTORS["+"])
+    assert residual(plus.block(0, 1, D, D), sp2.t(1, 2, x)) == 0
+    minus = aux_matrix(sp2, x, BLOCK_SECTORS["-"])
+    assert residual(minus.block(1, 0, D, D), sp2.t(-2, -1, x)) == 0
 
 
 # -- B-string ----------------------------------------------------------
 
 
-def test_b_chain_entries_and_pairing(sp1):
+def test_single_root_pairing_and_distinct_roots(sp1):
     u = Fr(9, 4)
-    bc = b_chain(sp1, (u,))
-    assert isinstance(bc, BOperatorChain)
-    for i in (1, 2):
-        for k in (1, 2):
-            assert residual(bc.entry((i,), (k,)), sp1.t(i, -k, u)) == 0
+    D = sp1.dim
+    p = pairing_matrix(sp1, [(0, u)])
+    for n, (i, k) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
+        assert residual(Mat(EXACT, p.num[:, n * D:(n + 1) * D], p.den),
+                        sp1.t(i, -k, u)) == 0
     # pairing the reduced vacuum picks the (1,-1) entry
-    om = omega_hat(sp1, 1)
-    paired = bc.pair(om)
+    paired = p @ omega_hat(sp1, 1)
     direct = sp1.t(1, -1, u) @ sp1.vacuum().omega
     assert residual(paired, direct) == 0
     with pytest.raises(ValueError):
-        b_chain(sp1, (u, u))
+        Sp4BetheConfig((u, u), (), ())
 
 
 def test_empty_pairing_is_identity(sp1):
@@ -143,10 +140,9 @@ def test_b_exchange_identities(sp1, n):
 
 def test_dressing_is_trivial_for_empty_roots(sp1):
     x = Fr(17, 5)
-    assert residual(hatted_matrix(sp1, "+", x, ()),
-                    block_aux_matrix(sp1, "+", x)) == 0
-    assert residual(hatted_matrix(sp1, "-", x, ()),
-                    block_aux_matrix(sp1, "-", x)) == 0
+    for sign in "+-":
+        assert residual(hatted_matrix(sp1, sign, x, ()),
+                        aux_matrix(sp1, x, BLOCK_SECTORS[sign])) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
