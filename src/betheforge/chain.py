@@ -9,6 +9,18 @@ gl chains annihilate T^i_k for i > k, the symplectic chain for i < k;
 detection scans the model's own convention first and falls back to the
 other.  Weight functions lam_i(x) are never stored symbolically; they are
 read off by applying T^i_i(x) to the vacuum.
+
+The monodromy is built site by site, the way a matrix-product operator is
+applied: with R_j[a, k] the d x d block of R_{0,j}(x, z_j) on site j,
+
+    T^(j)[i, k] = sum_a T^(j-1)[i, a] (x) R_j[a, k],
+
+one kernel product per site whose inner index is the auxiliary value a, so
+a new x costs O(d^3 D^2) rather than the O((dD)^3) of multiplying dense
+(dD) x (dD) lifts.  The result is one (d, d, D, D) array, cached per x under
+a byte bound; the grid entries T^i_k(x) are read-only views into it, the
+transfer matrix is the sum of its diagonal blocks, and `aux_matrix` is a
+transpose and reshape of it.
 """
 
 from __future__ import annotations
@@ -18,13 +30,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import EXACT, FLOAT, Mat, block_matrix, lift, residual
+from .linalg import EXACT, FLOAT, Mat, lift, residual
 from .rmatrix import SP4_SPACE, build_gl_r, build_sp4_r, gl_space
 from .scalars import is_exact, parse_scalar
 
 SPECTRUM_CAPACITY = 256
 
 _Z_OFFSETS = (0, 1, -1, 3, -3)
+
+# Bytes of monodromy arrays one chain keeps cached; past it the least
+# recently used entries go.  It holds one sp4 L=4 float entry (16 MiB): a
+# Newton step revisits few x, and the weights have their own cache.  An
+# exact entry counts its references, not the Python ints behind them.
+_MONO_CACHE_BYTES = 16 << 20
 
 
 class NoVacuumError(Exception):
@@ -101,6 +119,15 @@ class VacuumData:
         return [(i, k) for i in sp for k in sp if i > k]
 
 
+class _Grid(dict):
+    """Monodromy grid {(i, k): Mat} over one (d, d, D, D) array `num`."""
+
+    def __init__(self, num, den):
+        super().__init__()
+        self.num = num
+        self.den = den
+
+
 class Chain:
     """A chain spec plus cached monodromies, vacuum and weights."""
 
@@ -111,6 +138,7 @@ class Chain:
         self.dim = self.d ** spec.length
         self.backend = spec.backend
         self._mono_cache = {}
+        self._mono_bytes = 0
         self._lam_cache = {}
         self._vacuum = None
 
@@ -122,24 +150,44 @@ class Chain:
         return build_gl_r(self.d, x, z).mat
 
     def monodromy(self, x):
-        """Grid {(i, k): Mat} of auxiliary-leg blocks of T(x)."""
-        key = x
-        if key in self._mono_cache:
-            return self._mono_cache[key]
-        L = self.spec.length
-        dims = [self.d] * (L + 1)
-        full = None
-        for j, z in enumerate(self.spec.inhomogeneities):
-            fac = lift(self.site_r(x, z), [0, j + 1], dims)
-            full = fac if full is None else full @ fac
-        grid = {}
-        for i in self.space:
-            for k in self.space:
-                grid[(i, k)] = full.block(self.space.index(i), self.space.index(k),
-                                          self.dim, self.dim)
-        if len(self._mono_cache) > 64:
-            self._mono_cache.clear()
-        self._mono_cache[key] = grid
+        """Grid {(i, k): Mat} of the auxiliary-leg blocks T^i_k(x).
+
+        Site j folds R_j = R_{0,j}(x, z_j) into the running product by one
+        `Mat` product: rows (i, p, q) of T^(j-1), inner index a, columns
+        (k, s, t) of R_j; a transpose and reshape bring the result to shape
+        (d, d, P*d, P*d) with P = d^(j-1).  The grid's `num` is the final
+        (d, d, D, D) array (exact entries over the common denominator
+        `den`), and its entries are read-only views of the blocks num[a, b].
+        """
+        cache = self._mono_cache
+        if x in cache:
+            grid = cache[x] = cache.pop(x)     # now the most recently used
+            return grid
+        d, backend = self.d, self.backend
+        num = den = amax = None
+        for z in self.spec.inhomogeneities:
+            r = self.site_r(x, z)
+            r4 = r.num.reshape(d, d, d, d).transpose(0, 2, 1, 3)  # [a, k, s, t]
+            if num is None:
+                num, den, amax = r4, r.den, r._amax
+                continue
+            p = num.shape[2]
+            prod = (Mat(backend, num.transpose(0, 2, 3, 1).reshape(-1, d), den,
+                        amax=amax)
+                    @ Mat(backend, r4.reshape(d, -1), r.den, amax=r._amax))
+            num = (prod.num.reshape(d, p, p, d, d, d)
+                   .transpose(0, 3, 1, 4, 2, 5).reshape(d, d, p * d, p * d))
+            den, amax = prod.den, prod._amax
+        num = np.ascontiguousarray(num)
+        num.flags.writeable = False
+        grid = _Grid(num, den)
+        for a, i in enumerate(self.space):
+            for b, k in enumerate(self.space):
+                grid[(i, k)] = Mat(backend, num[a, b], den)
+        cache[x] = grid
+        self._mono_bytes += num.nbytes
+        while self._mono_bytes > _MONO_CACHE_BYTES:
+            self._mono_bytes -= cache.pop(next(iter(cache))).num.nbytes
         return grid
 
     def t(self, i, k, x):
@@ -147,10 +195,8 @@ class Chain:
 
     def transfer(self, x):
         grid = self.monodromy(x)
-        out = None
-        for i in self.space:
-            out = grid[(i, i)] if out is None else out + grid[(i, i)]
-        return out
+        num = sum((grid.num[a, a] for a in range(1, self.d)), grid.num[0, 0])
+        return Mat(self.backend, num, grid.den)._reduced()
 
     # -- vacuum ----------------------------------------------------------
 
@@ -249,11 +295,14 @@ def aux_matrix(chain: Chain, x, sectors=None) -> Mat:
     ((-1, -2),) gives T(-), and ((-2, -1), (1, 2)) their direct sum.
     """
     sectors = sectors or (chain.space,)
-    group = {i: n for n, sec in enumerate(sectors) for i in sec}
+    slots = [chain.space.index(i) for sec in sectors for i in sec]
+    group = [n for n, sec in enumerate(sectors) for _ in sec]
     grid = chain.monodromy(x)
-    zero = Mat.zeros((chain.dim, chain.dim), chain.backend)
-    return block_matrix([[grid[(i, k)] if group[i] == group[k] else zero
-                          for k in group] for i in group])
+    blocks = grid.num[np.ix_(slots, slots)]
+    blocks[np.not_equal.outer(group, group)] = 0
+    n = len(slots) * chain.dim
+    return Mat(chain.backend, blocks.transpose(0, 2, 1, 3).reshape(n, n),
+               grid.den)._reduced()
 
 
 def check_commuting(chain: Chain, x, y):

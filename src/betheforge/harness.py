@@ -395,10 +395,14 @@ def _chk_second_level_exchange(p_count, q_count):
 
 
 def _chk_second_level_action(p_count, q_count):
+    # on one site the (2, 2) second-level state vanishes identically
+    length = 2 if (p_count, q_count) == (2, 2) else 1
+
     def run(rng, backend):
-        ch = _chain("sp4", 1, backend)
+        ch = _chain("sp4", length, backend)
         pts = _cast(random_points(rng, p_count + q_count + 2,
-                                  taken=default_inhomogeneities(1)), backend)
+                                  taken=default_inhomogeneities(length)),
+                    backend)
         uvec = (pts[0],)
         x = pts[1]
         vbar = tuple(pts[2:2 + p_count])

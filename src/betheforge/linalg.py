@@ -264,24 +264,17 @@ def swap_mat(d1, d2, backend):
     return m
 
 
-def block_matrix(rows):
-    """Assemble a grid of Mats (shared backend) into one matrix; exact
-    blocks are brought to a common denominator."""
-    backend = rows[0][0].backend
-    if backend == FLOAT:
-        return Mat(FLOAT, np.block([[m.num for m in row] for row in rows]))
-    den = 1
-    for row in rows:
-        for m in row:
-            den = den * m.den // gcd(den, m.den)
-    num = np.block([[m.num if m.den == den else m.num * (den // m.den)
-                     for m in row] for row in rows])
-    return Mat(EXACT, num, den)._reduced()
-
-
 def hstack(mats):
-    """Concatenate Mats horizontally (shared backend)."""
-    return block_matrix([mats])
+    """Concatenate Mats (shared backend) horizontally; exact blocks are
+    brought to a common denominator."""
+    if mats[0].backend == FLOAT:
+        return Mat(FLOAT, np.hstack([m.num for m in mats]))
+    den = 1
+    for m in mats:
+        den = den * m.den // gcd(den, m.den)
+    num = np.hstack([m.num if m.den == den else m.num * (den // m.den)
+                     for m in mats])
+    return Mat(EXACT, num, den)._reduced()
 
 
 def check_nonzero(vec: Mat, what="state"):

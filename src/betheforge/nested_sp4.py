@@ -520,7 +520,8 @@ def tilde_offshell_residuals(chain: Chain, uvec, x, vbar, wbar):
         return (mu_weight(chain, i, z, vals) * _F(side, z + shift["v"], rs["v"])
                 * _F(side, z + shift["w"], rs["w"]))
 
-    base = _created(chain, vals, roots, omega)
+    base = check_nonzero(_created(chain, vals, roots, omega),
+                         "second-level state")
     out = []
     for entry, (_, side, shift) in _DIAGONAL.items():
         lhs = _apply_diagonal(chain, entry, x, vals, base)

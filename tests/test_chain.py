@@ -5,11 +5,13 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from betheforge import chain as chain_mod
 from betheforge.chain import (CapacityError, Chain, ChainSpec, aux_matrix,
                               chain_spec_from_dict, check_commuting,
                               check_rtt, default_inhomogeneities, spectrum)
-from betheforge.linalg import EXACT, FLOAT, residual
+from betheforge.linalg import _INT64_SAFE, EXACT, FLOAT, Mat, lift, residual
 from betheforge.rmatrix import build_gl_r
 from betheforge.scalars import PoleError, f, h
 
@@ -75,6 +77,142 @@ def test_aux_matrix_blocks_are_monodromy_entries(backend):
                 assert residual(blk, ch.t(i, k, x)) == 0
             else:
                 assert blk.is_zero() and not ch.t(i, k, x).is_zero()
+
+
+# -- the block recursion against the dense lift product --------------------
+
+
+def _lift_product(ch, x):
+    """Oracle: T(x) = R_{0,1}(x, z_1) ... R_{0,L}(x, z_L) as a product of
+    dense lifts on [aux, site_1, ..., site_L]."""
+    dims = [ch.d] * (ch.spec.length + 1)
+    full = None
+    for j, z in enumerate(ch.spec.inhomogeneities):
+        fac = lift(ch.site_r(x, z), [0, j + 1], dims)
+        full = fac if full is None else full @ fac
+    return full
+
+
+def _assert_grid_is(ch, x, full):
+    """Every grid block equals the oracle's, numerator and denominator."""
+    D = ch.dim
+    grid = ch.monodromy(x)
+    for a, i in enumerate(ch.space):
+        for b, k in enumerate(ch.space):
+            blk = full.block(a, b, D, D)
+            assert grid[(i, k)].den == blk.den
+            assert np.array_equal(grid[(i, k)].num, blk.num)
+    trace = full.block(0, 0, D, D)
+    for a in range(1, ch.d):
+        trace = trace + full.block(a, a, D, D)
+    assert residual(ch.transfer(x), trace) == 0
+    assert residual(aux_matrix(ch, x), full) == 0
+
+
+_rational = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("model", ["gl2", "gl3", "sp4"])
+def test_monodromy_matches_lift_product(model, length):
+    @settings(max_examples=5)
+    @given(x=_rational, zs=st.lists(_rational, min_size=length,
+                                    max_size=length))
+    def check(x, zs):
+        pts = [x] + zs
+        # keep every difference off the integer pole offsets
+        assume(all((a - b).denominator > 1 or abs(a - b) > 3
+                   for n, a in enumerate(pts) for b in pts[n + 1:]))
+        ch = Chain(ChainSpec(model, length, tuple(zs)))
+        _assert_grid_is(ch, x, _lift_product(ch, x))
+
+    check()
+
+
+@pytest.mark.parametrize("model", ["gl3", "sp4"])
+def test_monodromy_bigint_path_matches_lift_product(model, monkeypatch):
+    # denominators near 1e6 push the numerators past the int64 bound
+    ch = Chain(ChainSpec(model, 3, (Fr(0), Fr(1, 1000003), Fr(2, 1000033))))
+    x = Fr(7, 999983)
+    bigint = []
+    plain = Mat.__matmul__
+
+    def spy(a, b):
+        bigint.append(a.shape[1] * a.amax() * b.amax() >= _INT64_SAFE)
+        return plain(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", spy)
+    ch.monodromy(x)
+    monkeypatch.undo()
+    assert len(bigint) == 2 and bigint[-1]
+    _assert_grid_is(ch, x, _lift_product(ch, x))
+
+
+@pytest.mark.parametrize("model,length", [("gl2", 8), ("sp4", 4)])
+def test_float_monodromy_at_capacity_matches_lift_product(model, length):
+    zs = tuple(complex(z) for z in default_inhomogeneities(length))
+    ch = Chain(ChainSpec(model, length, zs, FLOAT))
+    assert ch.dim == chain_mod.SPECTRUM_CAPACITY
+    x = complex(3.4, 0.3)
+    assert residual(aux_matrix(ch, x), _lift_product(ch, x)) < 1e-12
+
+
+def _counting_site_r(ch):
+    calls = []
+    plain = ch.site_r
+
+    def site_r(x, z):
+        calls.append(z)
+        return plain(x, z)
+
+    ch.site_r = site_r
+    return calls
+
+
+def test_monodromy_miss_builds_each_site_once_and_hit_builds_none():
+    ch = _chain("gl3", 3)
+    calls = _counting_site_r(ch)
+    x = Fr(17, 5)
+    ch.monodromy(x)
+    assert calls == list(ch.spec.inhomogeneities)
+    ch.monodromy(x)
+    ch.transfer(x)
+    aux_matrix(ch, x, ((1, 2),))
+    assert len(calls) == 3
+
+
+def test_monodromy_blocks_are_read_only_views():
+    ch = _chain("sp4", 2)
+    grid = ch.monodromy(Fr(17, 5))
+    assert grid.num.shape == (4, 4, 16, 16)
+    for (i, k), blk in grid.items():
+        assert np.shares_memory(blk.num, grid.num)
+        with pytest.raises(ValueError):
+            blk.num[0, 0] = 1
+
+
+def test_monodromy_cache_is_bounded_in_bytes(monkeypatch):
+    entry = _chain("gl2", 2, FLOAT).monodromy(complex(9)).num.nbytes
+    ch = _chain("gl2", 2, FLOAT)
+    monkeypatch.setattr(chain_mod, "_MONO_CACHE_BYTES", 3 * entry)
+    xs = [complex(4 + n) for n in range(6)]
+
+    def held():
+        total = sum(g.num.nbytes for g in ch._mono_cache.values())
+        assert total == ch._mono_bytes <= 3 * entry
+        return list(ch._mono_cache)
+
+    for n, x in enumerate(xs[:5]):
+        ch.monodromy(x)
+        assert held() == xs[max(0, n - 2):n + 1]
+    ch.monodromy(xs[2])                     # a hit makes xs[2] the newest
+    assert held() == [xs[3], xs[4], xs[2]]
+    ch.monodromy(xs[5])                     # so the oldest, xs[3], goes
+    assert held() == [xs[4], xs[2], xs[5]]
+    # an entry larger than the whole bound is returned but not kept
+    monkeypatch.setattr(chain_mod, "_MONO_CACHE_BYTES", entry - 1)
+    assert not ch.monodromy(complex(20)).num.flags.writeable
+    assert held() == []
 
 
 def test_vacuum_detection_conventions():

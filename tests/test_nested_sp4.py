@@ -192,13 +192,24 @@ def test_second_level_exchange_relations(sp1):
 
 
 @pytest.mark.parametrize("pq", [(1, 1), (2, 2)])
-def test_second_level_offshell_action(sp1, pq):
+def test_second_level_offshell_action(request, pq):
+    # on one site the (2, 2) second-level state vanishes identically, so
+    # that case runs on two sites
     p, q = pq
+    ch = request.getfixturevalue("sp2" if pq == (2, 2) else "sp1")
     rng = np.random.default_rng(51 + p + q)
-    pts = _pts(rng, p + q + 2, taken=(Fr(0),))
-    rs = tilde_offshell_residuals(sp1, (pts[0],), pts[1],
+    pts = _pts(rng, p + q + 2, taken=ch.spec.inhomogeneities)
+    rs = tilde_offshell_residuals(ch, (pts[0],), pts[1],
                                   tuple(pts[2:2 + p]), tuple(pts[2 + p:]))
     assert all(r == 0 for r in rs)
+
+
+def test_offshell_action_rejects_a_vanishing_state(sp1):
+    # the one-site (2, 2) state is identically zero: no residual is read
+    pts = _pts(np.random.default_rng(55), 6, taken=(Fr(0),))
+    with pytest.raises(ZeroVectorError):
+        tilde_offshell_residuals(sp1, (pts[0],), pts[1],
+                                 (pts[2], pts[3]), (pts[4], pts[5]))
 
 
 def test_second_level_state_symmetry(sp2):
