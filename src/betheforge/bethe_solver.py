@@ -13,6 +13,11 @@ Multiple random starts are drawn from a disc around the mean
 inhomogeneity, offset into the upper half plane; converged roots are
 deduplicated, and solutions with near-colliding roots inside one family
 or runaway magnitudes are rejected.
+
+A solution is verified against dense diagonalization of the transfer
+matrix restricted to the weight sector of its Bethe vector: the vector
+must stay in one sector, the transfer matrix must not couple that sector
+to the rest, and the ansatz eigenvalue must lie in the sector's spectrum.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain
+from .chain import Chain, check_dense_capacity
 from .linalg import ZeroVectorError
 from .nested_gl import gl2_eigenvalue, gl2_residuals, gl2_vector, \
     gl3_eigenvalue, gl3_residuals, gl3_vector
@@ -33,6 +38,8 @@ FD_STEP = 1e-7
 DEDUP_TOL = 1e-6
 COLLISION_TOL = 1e-8
 RUNAWAY_RADIUS = 1e3
+# relative weight-sector leak of a state or a transfer matrix that still passes
+LEAK_TOL = 1e-10
 
 
 @dataclass
@@ -377,40 +384,64 @@ def eigenvalue(problem: SolveProblem, x, roots):
 
 
 def verify_solution(problem: SolveProblem, result: SolveResult, samples):
-    """Check the constructed state against brute-force diagonalization.
+    """Check the constructed state against dense diagonalization of its
+    weight sector.
 
-    Per sample x: the relative eigen-residual |H psi - E psi|/|psi|, the gap
-    from E(x) to the nearest dense eigenvalue, and the overlap of psi with
-    that eigenvalue's eigenspace.  A vanishing state is reported as the
-    distinct verdict "null_vector" (the eigenvalue gaps are still checked).
+    The state psi is a weight vector, and its sector is the Cartan weight of
+    its largest entry; `state_leak` = |psi outside the sector| / |psi|.  Per
+    sample x: `sector_leak` = max|H[outside, sector]| / max|H| on the full
+    H(x); the relative eigen-residual |H psi - E psi| / |psi|, also on the
+    full H; the gap from E(x) to the nearest eigenvalue of the sector block
+    H[sector, sector], so E must be an eigenvalue in psi's own sector; and
+    the overlap of psi with that eigenvalue's eigenspace, spanned by the
+    block's eigenvectors (zero outside the sector).  Either leak above
+    LEAK_TOL gives the verdict "sector_leak".  A vanishing state is the
+    verdict "null_vector"; it has no sector, so its gaps are taken to the
+    full spectrum.  Raises CapacityError, before any monodromy is built,
+    where `spectrum` would.
     """
     ch = problem.chain
+    check_dense_capacity(ch)
     report = {"verdict": "ok", "samples": [], "roots": result.roots}
-    psi = None
+    pv = None
     try:
-        psi = build_state(problem, result.roots)
+        pv = build_state(problem, result.roots).to_complex()[:, 0]
     except ZeroVectorError:
         report["verdict"] = "null_vector"
+    if pv is not None:
+        weights = ch.cartan_weights
+        inside = (weights == weights[np.argmax(np.abs(pv))]).all(axis=1)
+        sector = np.flatnonzero(inside)
+        norm = np.linalg.norm(pv)
+        report["sector"] = weights[sector[0]].tolist()
+        report["state_leak"] = float(np.linalg.norm(pv[~inside]) / norm)
+        if not report["state_leak"] <= LEAK_TOL:
+            report["verdict"] = "sector_leak"
     for x in samples:
         entry = {"x": [x.real, x.imag]}
+        report["samples"].append(entry)
         try:
             e_val = complex(eigenvalue(problem, x, result.roots))
             hmat = ch.transfer(x).to_complex()
         except PoleError as exc:
             entry["skipped"] = f"pole: {exc}"
-            report["samples"].append(entry)
             continue
-        vals, vecs = np.linalg.eig(hmat)
-        gap = float(min(abs(vals - e_val)))
         entry["eigenvalue"] = [e_val.real, e_val.imag]
+        if pv is None:
+            vals = np.linalg.eigvals(hmat)
+            entry["spectrum_gap"] = float(min(abs(vals - e_val)))
+            continue
+        leak = np.abs(hmat[np.ix_(~inside, inside)]).max() / np.abs(hmat).max()
+        entry["sector_leak"] = float(leak)
+        if not leak <= LEAK_TOL:
+            report["verdict"] = "sector_leak"
+        vals, vecs = np.linalg.eig(hmat[np.ix_(sector, sector)])
+        gap = float(min(abs(vals - e_val)))
         entry["spectrum_gap"] = gap
-        if psi is not None:
-            pv = psi.to_complex()[:, 0]
-            entry["eigen_residual"] = float(
-                np.linalg.norm(hmat @ pv - e_val * pv) / np.linalg.norm(pv))
-            near = np.abs(vals - e_val) < max(1e-6, 10 * gap + 1e-12)
-            basis, _ = np.linalg.qr(vecs[:, near])
-            ov = np.linalg.norm(basis.conj().T @ pv) / np.linalg.norm(pv)
-            entry["eigenspace_overlap"] = float(ov)
-        report["samples"].append(entry)
+        entry["eigen_residual"] = float(
+            np.linalg.norm(hmat @ pv - e_val * pv) / norm)
+        near = np.abs(vals - e_val) < max(1e-6, 10 * gap + 1e-12)
+        basis, _ = np.linalg.qr(vecs[:, near])
+        entry["eigenspace_overlap"] = float(
+            np.linalg.norm(basis.conj().T @ pv[sector]) / norm)
     return report

@@ -21,12 +21,18 @@ a new x costs O(d^3 D^2) rather than the O((dD)^3) of multiplying dense
 a byte bound; the grid entries T^i_k(x) are read-only views into it, the
 transfer matrix is the sum of its diagonal blocks, and `aux_matrix` is a
 transpose and reshape of it.
+
+Every product basis state carries its Cartan weight (`Chain.cartan_weights`).
+The transfer matrix commutes with the weights, so it is block diagonal in the
+sectors of equal weight, and a weight vector's dense check needs only its
+sector's block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +60,13 @@ class CapacityError(Exception):
 
 
 _MODEL_SPACE = {"gl2": gl_space(2), "gl3": gl_space(3), "sp4": SP4_SPACE}
+# Cartan weight of each local basis value, in the order of the model's space:
+# gl(n) counts each value, sp(4) reads (n_1 - n_{-1}, n_2 - n_{-2})
+_LOCAL_WEIGHTS = {
+    "gl2": ((1, 0), (0, 1)),
+    "gl3": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "sp4": ((0, -1), (-1, 0), (1, 0), (0, 1)),     # values -2, -1, 1, 2
+}
 # annihilating wedge scanned first, per the model's own convention
 _PRIMARY_CONVENTION = {"gl2": "i>k", "gl3": "i>k", "sp4": "i<k"}
 
@@ -190,6 +203,19 @@ class Chain:
             self._mono_bytes -= cache.pop(next(iter(cache))).num.nbytes
         return grid
 
+    @cached_property
+    def cartan_weights(self):
+        """Read-only (D, rank) int array: the Cartan weight of every product
+        basis state, the sum of its sites' local weights (first site most
+        significant, as in the state vectors)."""
+        local = np.array(_LOCAL_WEIGHTS[self.spec.model], dtype=np.int64)
+        rank = local.shape[1]
+        weights = np.zeros((1, rank), dtype=np.int64)
+        for _ in range(self.spec.length):
+            weights = (weights[:, None] + local[None]).reshape(-1, rank)
+        weights.flags.writeable = False
+        return weights
+
     def t(self, i, k, x):
         return self.monodromy(x)[(i, k)]
 
@@ -311,13 +337,18 @@ def check_commuting(chain: Chain, x, y):
     return residual(hx @ hy, hy @ hx)
 
 
+def check_dense_capacity(chain: Chain):
+    """Raise CapacityError when the chain is too large for a dense check."""
+    if chain.dim > SPECTRUM_CAPACITY:
+        raise CapacityError(f"dimension {chain.dim} exceeds {SPECTRUM_CAPACITY}")
+
+
 def spectrum(chain: Chain, x):
     """Eigenvalues of H(x) with multiplicities, by dense diagonalization.
 
     Float backend only; sorted by (real, imag); clusters within 1e-8.
     """
-    if chain.dim > SPECTRUM_CAPACITY:
-        raise CapacityError(f"dimension {chain.dim} exceeds {SPECTRUM_CAPACITY}")
+    check_dense_capacity(chain)
     hmat = chain.transfer(x).to_complex()
     vals = np.linalg.eigvals(hmat)
     vals = sorted(vals, key=lambda v: (round(v.real, 10), round(v.imag, 10)))

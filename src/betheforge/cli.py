@@ -19,12 +19,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .chain import Chain, chain_spec_from_dict, check_commuting, check_rtt
+from .chain import (CapacityError, Chain, chain_spec_from_dict,
+                    check_commuting, check_rtt)
 from .harness import exit_code, format_table, report, run_suite
 from .linalg import EXACT, FLOAT, ZeroVectorError
-from .nested_gl import gl3_eigenvalue, gl3_residuals, gl3_vector
+from .nested_gl import gl3_residuals
 from .nested_sp4 import Sp4BetheConfig, sp4_residuals
 from . import bethe_solver as solver
 from .rmatrix import check_unitarity, check_ybe
@@ -75,6 +74,25 @@ def _cmd_chain_check(args):
     return 0 if ok else 1
 
 
+def _dense_check(out, ch, model, counts, roots, res, n_samples):
+    """Add the dense-oracle verdict for `roots` at `n_samples` points to
+    `out`."""
+    samples = [complex(3.1 + 0.7j) + k for k in range(n_samples)]
+    prob = solver.SolveProblem(ch, model, counts)
+    result = solver.SolveResult(
+        roots, max([0.0] + [abs(r) for vals in res.values() for _, r in vals]),
+        0, True, 1.0)
+    rep = solver.verify_solution(prob, result, samples)
+    out["verdict"] = rep["verdict"]
+    gaps = [s["spectrum_gap"] for s in rep["samples"] if "spectrum_gap" in s]
+    out["matched_eigenvalue_gap"] = max(gaps) if gaps else None
+    first = next((s for s in rep["samples"] if "eigenvalue" in s), None)
+    out["matched_eigenvalue"] = first["eigenvalue"] if first else None
+    eres = [s["eigen_residual"] for s in rep["samples"]
+            if "eigen_residual" in s]
+    out["eigen_residual"] = max(eres) if eres else None
+
+
 def _cmd_gl3(args):
     ch = _load_chain(args.spec, FLOAT)
     u = _parse_roots(args.u)
@@ -85,16 +103,8 @@ def _cmd_gl3(args):
     out["residuals"] = {fam: [abs(r) for _, r in vals]
                         for fam, vals in res.items()}
     if args.check:
-        try:
-            psi = gl3_vector(ch, u, v)
-            x0 = 3.1 + 0.7j
-            e_val = complex(gl3_eigenvalue(ch, x0, u, v))
-            pv = psi.to_complex()[:, 0]
-            hm = ch.transfer(x0).to_complex()
-            out["eigen_residual"] = float(
-                np.linalg.norm(hm @ pv - e_val * pv) / np.linalg.norm(pv))
-        except ZeroVectorError as exc:
-            out["verdict"] = f"null vector: {exc}"
+        _dense_check(out, ch, "gl3", (len(v), len(u)), {"u": u, "v": v},
+                     res, 1)
     print(json.dumps(out))
     return 0
 
@@ -112,21 +122,9 @@ def _cmd_sp4(args):
         "backend": "float",
     }
     if args.verify:
-        prob = solver.SolveProblem(ch, "sp4", cfg.counts)
-        result = solver.SolveResult(
-            {"u": cfg.uvec, "v": cfg.vbar, "w": cfg.wbar},
-            max([0.0] + [abs(r) for vals in res.values() for _, r in vals]),
-            0, True, 1.0)
-        samples = [complex(3.1 + 0.7j) + k for k in range(args.samples)]
-        rep = solver.verify_solution(prob, result, samples)
-        out["verdict"] = rep["verdict"]
-        gaps = [s["spectrum_gap"] for s in rep["samples"] if "spectrum_gap" in s]
-        out["matched_eigenvalue_gap"] = max(gaps) if gaps else None
-        first = next((s for s in rep["samples"] if "eigenvalue" in s), None)
-        out["matched_eigenvalue"] = first["eigenvalue"] if first else None
-        eres = [s["eigen_residual"] for s in rep["samples"]
-                if "eigen_residual" in s]
-        out["eigen_residual"] = max(eres) if eres else None
+        _dense_check(out, ch, "sp4", cfg.counts,
+                     {"u": cfg.uvec, "v": cfg.vbar, "w": cfg.wbar}, res,
+                     args.samples)
     print(json.dumps(out))
     return 0
 
@@ -220,7 +218,7 @@ def main(argv=None):
     except PoleError as exc:
         print(json.dumps({"error": f"pole: {exc}"}))
         return 2
-    except (ValueError, ZeroVectorError) as exc:
+    except (ValueError, ZeroVectorError, CapacityError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import (CapacityError, Chain, ChainSpec, check_commuting,
                     check_rtt, default_inhomogeneities)
-from .linalg import EXACT, FLOAT, Mat, ZeroVectorError, residual
+from .linalg import EXACT, FLOAT, Mat, residual
 from .nested_gl import (gl2_exchange_residuals, gl2_vector,
                         gl3_hatted_rtt_residual, gl3_vacuum_relation_residuals)
 from .nested_sp4 import (b_reorder_residual,
@@ -38,6 +38,8 @@ from . import bethe_solver as solver
 from .scalars import RootSet, f, g, sum_identity_residuals
 
 SCHEMA_VERSION = 1
+# bounds the exact identity checks' lifted operators; the dense float oracle
+# has its own, smaller bound (chain.SPECTRUM_CAPACITY)
 CAPACITY_DIM = 4096
 FLOAT_TOL = 1e-12
 
@@ -453,7 +455,7 @@ def _run_e2e(model, length, counts, rng, starts=24, zs=None, tol=1e-12):
 
 def _chk_e2e_gl2(rng, backend):
     best, report, msg = _run_e2e("gl2", 2, (1,), rng, starts=20)
-    if best is None:
+    if best is None or report["verdict"] != "ok":
         return float("inf")
     worst = best.residual
     for s in report["samples"]:
@@ -509,9 +511,10 @@ def _chk_stretch_sp4(rng, backend):
 
 
 def _chk_negcontrol(model, length, counts):
-    """Shift every root by 1e-3: the eigenvector check must now fail by at
-    least 1e-4 at some sample point, proving the pipeline cannot pass
-    vacuously."""
+    """Shift every root by 1e-3: the dense oracle must still find the state
+    in one weight sector, and both its eigen-residual and its sector gap must
+    now fail by at least 1e-4 at some sample point, proving the pipeline
+    cannot pass vacuously."""
     def run(rng, backend):
         ch = _chain(model, length, FLOAT)
         prob = solver.SolveProblem(ch, model, counts, starts=24,
@@ -521,18 +524,13 @@ def _chk_negcontrol(model, length, counts):
             return float("inf")
         roots = {k: tuple(z + 1e-3 for z in v)
                  for k, v in results[0].roots.items()}
-        worst = 0.0
-        try:
-            psi = solver.build_state(prob, roots)
-            pv = psi.to_complex()[:, 0]
-            for x in _sample_points(rng, 3):
-                e_val = complex(solver.eigenvalue(prob, x, roots))
-                hmat = ch.transfer(x).to_complex()
-                r = float(np.linalg.norm(hmat @ pv - e_val * pv)
-                          / np.linalg.norm(pv))
-                worst = max(worst, r)
-        except ZeroVectorError:
+        shifted = solver.SolveResult(roots, float("inf"), 0, False, 0.0)
+        report = solver.verify_solution(prob, shifted, _sample_points(rng, 3))
+        checked = [s for s in report["samples"] if "skipped" not in s]
+        if report["verdict"] != "ok" or not checked:
             return float("inf")
+        worst = min(max(s[key] for s in checked)
+                    for key in ("eigen_residual", "spectrum_gap"))
         return 0.0 if worst >= 1e-4 else float("inf")
     return run
 

@@ -186,11 +186,6 @@ class Mat:
             return complex(self.num[i, j])
         return Fraction(int(self.num[i, j]), self.den)
 
-    def block(self, i, j, rows, cols):
-        """Contiguous block of size rows x cols starting at (i*rows, j*cols)."""
-        sub = self.num[i * rows:(i + 1) * rows, j * cols:(j + 1) * cols].copy()
-        return Mat(self.backend, sub, self.den)
-
     def max_abs(self):
         """Largest |entry|, as Fraction (exact) or float."""
         if self.backend == FLOAT:
@@ -212,9 +207,6 @@ class Mat:
         if self.backend == FLOAT:
             return self.num.copy()
         return self.num.astype(np.complex128) / self.den
-
-    def to_fractions(self):
-        return [[Fraction(int(x), self.den) for x in row] for row in self.num]
 
     def __repr__(self):
         return f"Mat({self.backend}, shape={self.shape})"

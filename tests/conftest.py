@@ -1,4 +1,4 @@
-"""Shared test settings.
+"""Shared test settings and helpers.
 
 Hypothesis runs derandomized, with no per-example deadline (exact rational
 arithmetic has no stable per-example time), few examples and no example
@@ -7,6 +7,14 @@ database, so every run of the suite draws the same cases.
 
 from hypothesis import settings
 
+from betheforge.linalg import Mat
+
 settings.register_profile("betheforge", derandomize=True, deadline=None,
                           max_examples=15, database=None)
 settings.load_profile("betheforge")
+
+
+def block(mat, i, j, rows, cols):
+    """Block of `mat` of size rows x cols starting at (i*rows, j*cols)."""
+    sub = mat.num[i * rows:(i + 1) * rows, j * cols:(j + 1) * cols].copy()
+    return Mat(mat.backend, sub, mat.den)

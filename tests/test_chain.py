@@ -14,6 +14,7 @@ from betheforge.chain import (CapacityError, Chain, ChainSpec, aux_matrix,
 from betheforge.linalg import _INT64_SAFE, EXACT, FLOAT, Mat, lift, residual
 from betheforge.rmatrix import build_gl_r
 from betheforge.scalars import PoleError, f, h
+from conftest import block
 
 
 def _chain(model, length, backend=EXACT):
@@ -52,7 +53,8 @@ def test_single_site_monodromy_is_r_matrix_blocks():
     rmat = build_gl_r(2, x, Fr(0)).mat
     for i in (1, 2):
         for k in (1, 2):
-            assert residual(grid[(i, k)], rmat.block(i - 1, k - 1, 2, 2)) == 0
+            blk = block(rmat, i - 1, k - 1, 2, 2)
+            assert residual(grid[(i, k)], blk) == 0
     with pytest.raises(PoleError):
         ch.monodromy(Fr(0))
 
@@ -66,13 +68,13 @@ def test_aux_matrix_blocks_are_monodromy_entries(backend):
         full = aux_matrix(ch, x)
         for a, i in enumerate(ch.space):
             for b, k in enumerate(ch.space):
-                assert residual(full.block(a, b, D, D), ch.t(i, k, x)) == 0
+                assert residual(block(full, a, b, D, D), ch.t(i, k, x)) == 0
     # two sectors on the symplectic auxiliary leg: mixed-sign blocks vanish
     sectors = ((-2, -1), (1, 2))
     tilde = aux_matrix(ch, x, sectors)
     for a, i in enumerate(sectors[0] + sectors[1]):
         for b, k in enumerate(sectors[0] + sectors[1]):
-            blk = tilde.block(a, b, D, D)
+            blk = block(tilde, a, b, D, D)
             if (i > 0) == (k > 0):
                 assert residual(blk, ch.t(i, k, x)) == 0
             else:
@@ -99,12 +101,12 @@ def _assert_grid_is(ch, x, full):
     grid = ch.monodromy(x)
     for a, i in enumerate(ch.space):
         for b, k in enumerate(ch.space):
-            blk = full.block(a, b, D, D)
+            blk = block(full, a, b, D, D)
             assert grid[(i, k)].den == blk.den
             assert np.array_equal(grid[(i, k)].num, blk.num)
-    trace = full.block(0, 0, D, D)
+    trace = block(full, 0, 0, D, D)
     for a in range(1, ch.d):
-        trace = trace + full.block(a, a, D, D)
+        trace = trace + block(full, a, a, D, D)
     assert residual(ch.transfer(x), trace) == 0
     assert residual(aux_matrix(ch, x), full) == 0
 
@@ -306,3 +308,53 @@ def test_sp4_single_site_transfer_is_scalar():
     val = hmat.entry(0, 0)
     from betheforge.linalg import Mat
     assert residual(hmat, Mat.identity(4, EXACT).scale(val)) == 0
+
+
+# -- weight sectors of the transfer matrix ---------------------------------
+
+
+def _weight_by_digits(ch, index):
+    """Oracle: the Cartan weight of one basis state, from its local values."""
+    slots = np.unravel_index(index, (ch.d,) * ch.spec.length)
+    vals = [ch.space[s] for s in slots]
+    if ch.spec.model == "sp4":
+        return (vals.count(1) - vals.count(-1), vals.count(2) - vals.count(-2))
+    return tuple(vals.count(c) for c in ch.space)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("model", ["gl2", "gl3", "sp4"])
+def test_transfer_is_block_diagonal_in_weight_sectors(model, length):
+    ch = _chain(model, length)
+    weights = ch.cartan_weights
+    assert [tuple(w) for w in weights] == [_weight_by_digits(ch, n)
+                                           for n in range(ch.dim)]
+    across = (weights[:, None] != weights[None]).any(axis=2)
+
+    @settings(max_examples=5)
+    @given(x=_rational)
+    def check(x):
+        assume(all((x - z).denominator > 1 or abs(x - z) > 3
+                   for z in ch.spec.inhomogeneities))
+        assert np.all(ch.transfer(x).num[across] == 0)
+
+    check()
+
+
+@pytest.mark.parametrize("model,length", [("gl2", 8), ("gl3", 5), ("sp4", 4)])
+def test_sector_spectra_make_up_the_spectrum(model, length):
+    from scipy.optimize import linear_sum_assignment
+
+    ch = _chain(model, length, FLOAT)
+    x = complex(3.4, 0.3)
+    hmat = ch.transfer(x).to_complex()
+    _, label = np.unique(ch.cartan_weights, axis=0, return_inverse=True)
+    blocks = [np.linalg.eigvals(hmat[np.ix_(label == s, label == s)])
+              for s in range(label.max() + 1)]
+    assert max(b.size for b in blocks) < ch.dim
+    union = np.concatenate(blocks)
+    full = np.array([v for v, m in spectrum(ch, x) for _ in range(m)])
+    assert union.size == full.size == ch.dim
+    # pair the two multisets; spectrum() merges eigenvalues within 1e-8
+    rows, cols = linear_sum_assignment(np.abs(union[:, None] - full[None]))
+    assert np.abs(union[rows] - full[cols]).max() < 1e-7

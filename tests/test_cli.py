@@ -72,6 +72,7 @@ def test_gl3_command(capsys, gl3_file):
                               "--v", "", "--check"])
     doc = json.loads(out)
     assert code == 0 and doc["eigen_residual"] < 1e-9
+    assert doc["verdict"] == "ok" and doc["matched_eigenvalue_gap"] < 1e-7
 
 
 def test_solve_command(capsys, chain_file):

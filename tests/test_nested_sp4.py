@@ -26,6 +26,7 @@ from betheforge.nested_sp4 import (BLOCK_SECTORS, Sp4BetheConfig,
                                    tilde_rtt_residual, tilde_state,
                                    w0_basis)
 from betheforge.scalars import F_left, PoleError, RootSet
+from conftest import block
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +93,9 @@ def test_block_monodromy_entries(sp2):
     x = Fr(17, 5)
     D = sp2.dim
     plus = aux_matrix(sp2, x, BLOCK_SECTORS["+"])
-    assert residual(plus.block(0, 1, D, D), sp2.t(1, 2, x)) == 0
+    assert residual(block(plus, 0, 1, D, D), sp2.t(1, 2, x)) == 0
     minus = aux_matrix(sp2, x, BLOCK_SECTORS["-"])
-    assert residual(minus.block(1, 0, D, D), sp2.t(-2, -1, x)) == 0
+    assert residual(block(minus, 1, 0, D, D), sp2.t(-2, -1, x)) == 0
 
 
 # -- B-string ----------------------------------------------------------

@@ -6,9 +6,12 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from betheforge.bethe_solver import (SolveProblem, eigenvalue, build_state,
-                                     residual_vector, solve, verify_solution)
-from betheforge.chain import Chain, ChainSpec
+from betheforge import bethe_solver
+from betheforge.bethe_solver import (SolveProblem, SolveResult, eigenvalue,
+                                     build_state, residual_vector, solve,
+                                     verify_solution)
+from betheforge.chain import CapacityError, Chain, ChainSpec
+from betheforge.linalg import Mat
 
 
 def _chain(model, length=2):
@@ -82,10 +85,86 @@ def test_verify_solution_report(gl2_chain):
     res = solve(prob)[0]
     rep = verify_solution(prob, res, [4.3 + 0j, 1.2 + 0.9j])
     assert rep["verdict"] == "ok"
+    # one flipped site over the vacuum: one of each local value
+    assert rep["sector"] == [1, 1] and rep["state_leak"] == 0.0
     for s in rep["samples"]:
+        # every key the harness, the CLI and the benchmark read
+        assert {"x", "eigenvalue", "spectrum_gap", "eigen_residual",
+                "eigenspace_overlap", "sector_leak"} <= set(s)
+        assert s["sector_leak"] == 0.0
         assert s["eigen_residual"] <= 1e-9
         assert s["spectrum_gap"] <= 1e-7
         assert s["eigenspace_overlap"] > 0.99
+
+
+def _sector_of(prob, roots):
+    weights = prob.chain.cartan_weights
+    pv = build_state(prob, roots).to_complex()[:, 0]
+    return (weights == weights[np.argmax(np.abs(pv))]).all(axis=1)
+
+
+def test_sector_gap_rejects_an_eigenvalue_of_another_sector(monkeypatch):
+    # gl2 L=4, one magnon: the two-magnon sector holds singlets whose
+    # eigenvalues are not in the one-magnon sector
+    ch = _chain("gl2", 4)
+    prob = SolveProblem(ch, "gl2", (1,), starts=20, seed=7, tol=1e-12)
+    res = solve(prob)[0]
+    x = 1.2 + 0.9j
+    hmat = ch.transfer(x).to_complex()
+    mine = _sector_of(prob, res.roots)
+    own = np.linalg.eigvals(hmat[np.ix_(mine, mine)])
+    full = np.linalg.eigvals(hmat)
+    other = full[np.argmax([min(abs(own - v)) for v in full])]
+    assert min(abs(own - other)) > 1e-3
+    monkeypatch.setattr(bethe_solver, "eigenvalue",
+                        lambda problem, x, roots: other)
+    (s,) = verify_solution(prob, res, [x])["samples"]
+    assert min(abs(full - other)) < 1e-10    # the full-spectrum gap passes
+    assert s["spectrum_gap"] >= 1e-6
+
+
+def test_state_spread_over_two_sectors_fails(monkeypatch):
+    ch = _chain("gl2")
+    prob = SolveProblem(ch, "gl2", (1,), starts=20, seed=7)
+    res = solve(prob)[0]
+    psi = build_state(prob, res.roots)
+    spread = psi + ch.vacuum().omega.scale(complex(0.1 * psi.max_abs()))
+    monkeypatch.setattr(bethe_solver, "build_state", lambda problem, r: spread)
+    rep = verify_solution(prob, res, [4.3 + 0j])
+    assert rep["verdict"] == "sector_leak" and rep["state_leak"] > 1e-3
+
+
+def test_transfer_coupling_two_sectors_fails():
+    ch = _chain("gl2")
+    prob = SolveProblem(ch, "gl2", (1,), starts=20, seed=7)
+    res = solve(prob)[0]
+    assert _sector_of(prob, res.roots).tolist() == [False, True, True, False]
+    plain = ch.transfer
+
+    def leaky(x):
+        hmat = plain(x)
+        num = hmat.num.copy()
+        num[0, 1] += 1e-6 * np.abs(num).max()   # from psi's sector to (2, 0)
+        return Mat(hmat.backend, num, hmat.den)
+
+    ch.transfer = leaky
+    rep = verify_solution(prob, res, [4.3 + 0j, 1.2 + 0.9j])
+    assert rep["verdict"] == "sector_leak" and rep["state_leak"] == 0.0
+    for s in rep["samples"]:
+        assert 1e-7 < s["sector_leak"] < 1e-5
+
+
+def test_verify_refuses_past_dense_capacity_before_building():
+    ch = _chain("sp4", 5)                     # D = 1024 > SPECTRUM_CAPACITY
+    calls = []
+    plain = ch.site_r
+    ch.site_r = lambda x, z: calls.append(z) or plain(x, z)
+    prob = SolveProblem(ch, "sp4", (0, 1, 0))
+    res = SolveResult({"u": (), "v": (-0.25 + 0j,), "w": ()}, 0.0, 0, True,
+                      1.0)
+    with pytest.raises(CapacityError):
+        verify_solution(prob, res, [4.3 + 0j])
+    assert calls == []
 
 
 def test_verify_skips_pole_samples(gl2_chain):
