@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import EXACT, FLOAT, Mat, lift, residual
+from .linalg import EXACT, FLOAT, Mat, braid_residual, residual
 from .rmatrix import SP4_SPACE, build_gl_r, build_sp4_r, gl_space
 from .scalars import is_exact, parse_scalar
 
@@ -303,12 +303,10 @@ class Chain:
 
 def check_rtt(chain: Chain, x, y):
     """Max-abs residual of R12(x,y) T1(x) T2(y) - T2(y) T1(x) R12(x,y)."""
-    d, dim = chain.d, chain.dim
-    dims = [d, d, dim]
-    r12 = lift(chain.site_r(x, y), [0, 1], dims)
-    t1 = lift(aux_matrix(chain, x), [0, 2], dims)
-    t2 = lift(aux_matrix(chain, y), [1, 2], dims)
-    return residual(r12 @ t1 @ t2, t2 @ t1 @ r12)
+    d = chain.d
+    return braid_residual([d, d, chain.dim], (chain.site_r(x, y), [0, 1]),
+                          (aux_matrix(chain, x), [0, 2]),
+                          (aux_matrix(chain, y), [1, 2]))
 
 
 def aux_matrix(chain: Chain, x, sectors=None) -> Mat:

@@ -13,7 +13,8 @@ Everything downstream (R-matrices, monodromies, Bethe vectors) is built on
 
 Tensor-leg embedding (`lift`) places an operator acting on a subset of legs
 into the full Kronecker product, identity elsewhere; spaces here are small
-(<= a few hundred dimensions), so everything stays dense.
+(<= a few hundred dimensions), so everything stays dense.  `braid_residual`
+is the one embed-and-compare step behind every three-leg identity check.
 """
 
 from __future__ import annotations
@@ -242,6 +243,19 @@ def lift(op, legs, dims):
     arr = arr.reshape(d_tot, d_tot).copy()
     return Mat(op.backend, arr, full.den,
                amax=full._amax if op.backend == EXACT else None)
+
+
+def braid_residual(dims, a, b, c, cols=None):
+    """max|(A B C - C B A) cols|, or the plain max-abs residual when `cols`
+    is None.
+
+    `a`, `b`, `c` are (Mat, legs) pairs, lifted onto the tensor legs `dims`.
+    Every RTT, Yang-Baxter and reordering identity of the package is this
+    relation on three legs.
+    """
+    a, b, c = (lift(op, legs, dims) for op, legs in (a, b, c))
+    diff = a @ b @ c - c @ b @ a
+    return (diff if cols is None else diff @ cols).max_abs()
 
 
 def swap_mat(d1, d2, backend):

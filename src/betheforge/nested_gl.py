@@ -20,8 +20,9 @@ ansatz in the dressed generators, creation operator That^1_2.
 from __future__ import annotations
 
 from .chain import Chain
-from .linalg import Mat, check_nonzero, lift, residual
-from .nested_sp4 import hatted_block_apply, hatted_matrix
+from .linalg import Mat, braid_residual, check_nonzero, residual
+from .nested_sp4 import (hatted_block_apply, hatted_matrix, omega_hat,
+                         pairing_matrix)
 from .rmatrix import build_gl_r
 from .scalars import F_left, F_right, RootSet, _residual_pair, _roots, g
 
@@ -95,16 +96,6 @@ def _dressed_apply(chain: Chain, ab, x, vvec, vec):
     return hatted_block_apply(chain, "+", ab, x, vvec, vec, minus_roots=())
 
 
-def gl3_omega_hat(chain: Chain, M):
-    """f^2 (x) ... (x) f^2 (x) omega as a coordinate vector."""
-    omega = chain.vacuum().omega
-    dual = Mat.basis_vector(2, 1, chain.backend)  # covector f^2 -> slot 1
-    out = None
-    for _ in range(M):
-        out = dual if out is None else out.kron(dual)
-    return omega if out is None else out.kron(omega)
-
-
 def gl3_mu(chain: Chain, i, x, vvec):
     """Reduced vacuum weights mu1 = lam1/F(v-bar, x), mu2 = lam2."""
     if i == 1:
@@ -114,7 +105,7 @@ def gl3_mu(chain: Chain, i, x, vvec):
 
 def gl3_vacuum_relation_residuals(chain: Chain, vvec, x):
     """Annihilation and the two weight relations on the reduced vacuum."""
-    om = gl3_omega_hat(chain, len(vvec))
+    om = omega_hat(chain, (1,) * len(vvec))
     r21 = _dressed_apply(chain, (2, 1), x, vvec, om).max_abs()
     r11 = (_dressed_apply(chain, (1, 1), x, vvec, om)
            - om.scale(gl3_mu(chain, 1, x, vvec))).max_abs()
@@ -126,33 +117,18 @@ def gl3_vacuum_relation_residuals(chain: Chain, vvec, x):
 def gl3_inner_state(chain: Chain, uroots, vvec):
     """Phi(u-bar; v) = That^1_2(u_1; v) ... That^1_2(u_N; v) OmegaHat."""
     uroots = _roots(uroots)
-    phi = gl3_omega_hat(chain, len(vvec))
+    phi = omega_hat(chain, (1,) * len(vvec))
     for u in reversed(uroots.values):
         phi = _dressed_apply(chain, (1, 2), u, vvec, phi)
     return phi
 
 
-def gl3_pair(chain: Chain, vvec, phi):
-    """<b_{1..M}(v), Phi>: contract the M dual legs against T^a_3(v_j)."""
-    M = len(vvec)
-    D = chain.dim
-    out = Mat.zeros((D, 1), chain.backend)
-    for idx in range(2 ** M):
-        digits = [(idx >> (M - 1 - j)) & 1 for j in range(M)]
-        comp = Mat(chain.backend, phi.num[idx * D:(idx + 1) * D, :].copy(), phi.den)
-        if comp.is_zero():
-            continue
-        vec = comp
-        for j in reversed(range(M)):
-            vec = chain.t(digits[j] + 1, 3, vvec[j]) @ vec
-        out = out + vec
-    return out
-
-
 def gl3_vector(chain: Chain, uroots, vvec):
-    """Full nested state <b(v), Phi(u-bar; v)>."""
+    """Full nested state <b(v), Phi(u-bar; v)>: the M dual legs contracted
+    against T^a_3(v_j)."""
     phi = gl3_inner_state(chain, uroots, vvec)
-    return check_nonzero(gl3_pair(chain, vvec, phi), "gl3 Bethe vector")
+    pairing = pairing_matrix(chain, list(enumerate(vvec)), lower=(3,))
+    return check_nonzero(pairing @ phi, "gl3 Bethe vector")
 
 
 def gl3_eigenvalue(chain: Chain, x, uroots, vroots):
@@ -182,14 +158,8 @@ def gl3_residuals(chain: Chain, uroots, vroots):
 def gl3_hatted_rtt_residual(chain: Chain, vvec, x, y):
     """RTT residual of the dressed monodromies against the gl(2) R-matrix."""
     M = len(vvec)
-    dims = [2, 2] + [2] * M + [chain.dim]
-
-    def lift_hat(z, aux_slot):
-        mat = hatted_matrix(chain, "+", z, vvec, minus_roots=())
-        legs = [aux_slot] + list(range(2, 2 + M)) + [2 + M]
-        return lift(mat, legs, dims)
-
-    tx = lift_hat(x, 0)
-    ty = lift_hat(y, 1)
-    r = lift(build_gl_r(2, x, y).mat, [0, 1], dims)
-    return residual(r @ tx @ ty, ty @ tx @ r)
+    inner_legs = list(range(2, 3 + M))
+    return braid_residual(
+        [2, 2] + [2] * M + [chain.dim], (build_gl_r(2, x, y).mat, [0, 1]),
+        (hatted_matrix(chain, "+", x, vvec, minus_roots=()), [0] + inner_legs),
+        (hatted_matrix(chain, "+", y, vvec, minus_roots=()), [1] + inner_legs))

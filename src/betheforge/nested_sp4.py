@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .chain import Chain, aux_matrix
-from .linalg import (EXACT, Mat, ZeroVectorError, check_nonzero, hstack, lift,
-                     residual, rref_basis)
+from .linalg import (EXACT, Mat, ZeroVectorError, braid_residual,
+                     check_nonzero, hstack, lift, residual, rref_basis)
 from .rmatrix import (MINUS, PLUS, build_block_r, build_dual_pp, build_hatted_r,
                       build_tilde_r, coincident_block_r, coincident_hatted_r)
 from .scalars import (F2_left, F2_right, F_left, F_right, RootSet, _residual_pair,
@@ -112,25 +112,20 @@ def offblock_annihilation_residual(chain: Chain, x):
 
 def block_rtt_residual(chain: Chain, eps1, eps2, x, y):
     """Block RTT relation residual, restricted to W0."""
-    D = chain.dim
-    dims = [2, 2, D]
-    r = lift(build_block_r(eps1, eps2, x, y).mat, [0, 1], dims)
-    t1 = lift(aux_matrix(chain, x, BLOCK_SECTORS[eps1]), [0, 2], dims)
-    t2 = lift(aux_matrix(chain, y, BLOCK_SECTORS[eps2]), [1, 2], dims)
-    diff = (r @ t1 @ t2) - (t2 @ t1 @ r)
-    restrict = Mat.identity(4, chain.backend).kron(w0_columns(chain))
-    return (diff @ restrict).max_abs()
+    return braid_residual(
+        [2, 2, chain.dim], (build_block_r(eps1, eps2, x, y).mat, [0, 1]),
+        (aux_matrix(chain, x, BLOCK_SECTORS[eps1]), [0, 2]),
+        (aux_matrix(chain, y, BLOCK_SECTORS[eps2]), [1, 2]),
+        Mat.identity(4, chain.backend).kron(w0_columns(chain)))
 
 
 def tilde_rtt_residual(chain: Chain, x, y):
     """RTT of T(+) + T(-) against the two-sector 16x16 R-matrix, on W0."""
-    dims = [4, 4, chain.dim]
-    r = lift(build_tilde_r(x, y).mat, [0, 1], dims)
-    t1 = lift(aux_matrix(chain, x, TILDE_SECTORS), [0, 2], dims)
-    t2 = lift(aux_matrix(chain, y, TILDE_SECTORS), [1, 2], dims)
-    diff = (r @ t1 @ t2) - (t2 @ t1 @ r)
-    restrict = Mat.identity(16, chain.backend).kron(w0_columns(chain))
-    return (diff @ restrict).max_abs()
+    return braid_residual(
+        [4, 4, chain.dim], (build_tilde_r(x, y).mat, [0, 1]),
+        (aux_matrix(chain, x, TILDE_SECTORS), [0, 2]),
+        (aux_matrix(chain, y, TILDE_SECTORS), [1, 2]),
+        Mat.identity(16, chain.backend).kron(w0_columns(chain)))
 
 
 def block_commutativity_residuals(chain: Chain, x, y):
@@ -163,22 +158,25 @@ def block_commutativity_residuals(chain: Chain, x, y):
 # ---------------------------------------------------------------------
 
 
-def pairing_matrix(chain: Chain, args, n_aux=0) -> Mat:
+def pairing_matrix(chain: Chain, args, lower=MINUS, n_aux=0) -> Mat:
     """Contraction against the ordered B-string, as an explicit matrix.
 
     `args` is the ordered list of (slot, value) pairs; slot j populates the
-    j-th plus-dual and minus tensor legs while the operator factors multiply
-    in list order.  Maps [aux^n (x) duals (x) minuses (x) W] -> [aux^n (x) W];
-    its column blocks are the products of T^{i_j}_{-k_j}(value), one block per
-    pair of multi-indices (i, k) in lexicographic order.
+    j-th plus-dual leg and, for each value in `lower`, a coordinate of the
+    j-th lower-index leg, while the operator factors multiply in list
+    order.  Maps [aux^n (x) duals (x) lower legs (x) W] -> [aux^n (x) W];
+    its column blocks are the products of T^{i_j}_{k_j}(value), one block
+    per pair of multi-indices (i, k) in lexicographic order, i over (1, 2)
+    and k over `lower`.  The symplectic B-string has lower = (-1, -2);
+    the gl(3) one has lower = (3,), a one-dimensional leg, i.e. none.
     """
     N = len(args)
     ops = []
     for ii in product((1, 2), repeat=N):
-        for kk in product((1, 2), repeat=N):
+        for kk in product(lower, repeat=N):
             op = Mat.identity(chain.dim, chain.backend)
             for slot, val in args:
-                op = op @ chain.t(ii[slot], -kk[slot], val)
+                op = op @ chain.t(ii[slot], kk[slot], val)
             ops.append(op)
     p = hstack(ops)
     if n_aux:
@@ -280,14 +278,15 @@ def hatted_block_apply(chain: Chain, sign, ik, x, uvec, vec,
 # ---------------------------------------------------------------------
 
 
-def omega_hat(chain: Chain, N) -> Mat:
-    """f^1 (x) ... (x) f^1 (x) e_{-1} (x) ... (x) e_{-1} (x) omega."""
-    out = None
-    for _ in range(2 * N):
-        leg = Mat.basis_vector(2, 0, chain.backend)
-        out = leg if out is None else out.kron(leg)
-    om = chain.vacuum().omega
-    return om if out is None else out.kron(om)
+def omega_hat(chain: Chain, slots) -> Mat:
+    """The reduced vacuum: the basis (co)vector at each slot in `slots` on
+    the dressing legs, then omega.  The symplectic one is f^1 ... f^1 (x)
+    e_{-1} ... e_{-1} (x) omega (all slots 0), the gl(3) one f^2 ... f^2
+    (x) omega (all slots 1)."""
+    out = chain.vacuum().omega
+    for slot in reversed(slots):
+        out = Mat.basis_vector(2, slot, chain.backend).kron(out)
+    return out
 
 
 def mu_weight(chain: Chain, i, x, uroots):
@@ -307,7 +306,7 @@ def mu_weight(chain: Chain, i, x, uroots):
 def reduced_vacuum(chain: Chain, uvec):
     """OmegaHat plus its weight evaluator; checks both annihilations."""
     vals = tuple(uvec)
-    om = omega_hat(chain, len(vals))
+    om = omega_hat(chain, (0,) * 2 * len(vals))
     x0 = chain._scan_points(1)[0]
     for sign, ik in (("+", (1, 2)), ("-", (2, 1))):
         r = hatted_block_apply(chain, sign, ik, x0, vals, om).max_abs()
@@ -321,7 +320,7 @@ def reduced_vacuum(chain: Chain, uvec):
 def reduced_vacuum_residuals(chain: Chain, uvec, x):
     """All six reduced-vacuum relations at the point x."""
     vals = tuple(uvec)
-    om = omega_hat(chain, len(vals))
+    om = omega_hat(chain, (0,) * 2 * len(vals))
     out = []
     out.append(hatted_block_apply(chain, "+", (1, 2), x, vals, om).max_abs())
     out.append(hatted_block_apply(chain, "-", (2, 1), x, vals, om).max_abs())
@@ -394,16 +393,13 @@ def dressed_rtt_residual(chain: Chain, eps0, eps0p, x, y, uvec):
     """RTT of the dressed monodromies against the sign-block R, on Vhat."""
     vals = tuple(uvec)
     N = len(vals)
-    D = chain.dim
-    dims = [2, 2] + [2] * N + [2] * N + [D]
-    inner_legs = list(range(2, 2 + 2 * N)) + [2 + 2 * N]
-
-    tx = lift(hatted_matrix(chain, eps0, x, vals), [0] + inner_legs, dims)
-    ty = lift(hatted_matrix(chain, eps0p, y, vals), [1] + inner_legs, dims)
-    r = lift(build_block_r(eps0, eps0p, x, y).mat, [0, 1], dims)
-    diff = (r @ tx @ ty) - (ty @ tx @ r)
-    restrict = Mat.identity(4, chain.backend).kron(w0hat_columns(chain, N))
-    return (diff @ restrict).max_abs()
+    inner_legs = list(range(2, 3 + 2 * N))
+    return braid_residual(
+        [2, 2] + [2] * (2 * N) + [chain.dim],
+        (build_block_r(eps0, eps0p, x, y).mat, [0, 1]),
+        (hatted_matrix(chain, eps0, x, vals), [0] + inner_legs),
+        (hatted_matrix(chain, eps0p, y, vals), [1] + inner_legs),
+        Mat.identity(4, chain.backend).kron(w0hat_columns(chain, N)))
 
 
 # ---------------------------------------------------------------------
@@ -477,7 +473,7 @@ def tilde_state(chain: Chain, uvec, vbar, wbar, monic=True) -> Mat:
     """That^2_1(v_1)...That^2_1(v_P) That^{-1}_{-2}(w_1)...(w_Q) OmegaHat."""
     vals = tuple(uvec)
     return _created(chain, vals, {"v": vbar, "w": wbar},
-                    omega_hat(chain, len(vals)), monic)
+                    omega_hat(chain, (0,) * 2 * len(vals)), monic)
 
 
 def tilde_creation_residuals(chain: Chain, uvec, x, vbar, wbar):
@@ -513,7 +509,7 @@ def tilde_offshell_residuals(chain: Chain, uvec, x, vbar, wbar):
     on the second-level state, against the explicit weight expansion."""
     vals = tuple(uvec)
     roots = {"v": RootSet(tuple(vbar)), "w": RootSet(tuple(wbar))}
-    omega = omega_hat(chain, len(vals))
+    omega = omega_hat(chain, (0,) * 2 * len(vals))
 
     def eigen_factor(entry, z, rs):
         i, side, shift = _DIAGONAL[entry]

@@ -13,18 +13,22 @@ Index conventions (the single canonical table for the whole package):
   ``F(a, b)`` acts by F^a_b f^d = delta^d_b f^a (1 in row slot(a),
   column slot(b)); these satisfy F^a_b F^c_d = delta^c_b F^a_d.
 
-Builders produce `ROperator`s (matrix + leg signature + kind tag); the
-checkers verify the Yang-Baxter equation, unitarity, and the auxiliary
-reordering identities used by the dressed-monodromy constructions.
+Builders produce `ROperator`s, each holding its matrix on two tensor legs;
+the two-sector matrix places the four sign blocks through one slot map
+(`TILDE_SLOTS`).  The checkers verify the Yang-Baxter equation, unitarity,
+and the auxiliary reordering identities used by the dressed-monodromy
+constructions, each braid through `linalg.braid_residual`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
+from math import lcm
 
-from .linalg import EXACT, FLOAT, Mat, lift, residual, swap_mat
+import numpy as np
+
+from .linalg import (EXACT, FLOAT, Mat, braid_residual, lift, residual,
+                     swap_mat)
 from .scalars import PoleError, f, g, h, is_exact, k
 
 
@@ -75,31 +79,11 @@ def unit_F(space, upper, lower, backend):
     return m
 
 
-class RKind(Enum):
-    GL2 = "gl2"
-    GL3 = "gl3"
-    SP4 = "sp4"
-    SP4_TILDE = "sp4tilde"
-    BLOCK_PP = "block++"
-    BLOCK_PM = "block+-"
-    BLOCK_MP = "block-+"
-    BLOCK_MM = "block--"
-    DUAL_PP = "dual++"
-    HATTED_PP = "hatted++"
-    HATTED_MP = "hatted-+"
-
-
 @dataclass(frozen=True)
 class ROperator:
-    """Concrete matrix with its tensor-leg signature and family tag."""
+    """A built R-matrix (or dressing matrix) on its two tensor legs."""
 
     mat: Mat
-    legs: tuple
-    kind: RKind
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
 
 
 def build_gl_r(n, x, y):
@@ -112,7 +96,7 @@ def build_gl_r(n, x, y):
         for kk in sp:
             m = m + unit_E(sp, i, kk, backend).kron(unit_E(sp, kk, i, backend)).scale(gv)
     m = m.scale(recip(fv))
-    return ROperator(m, (n, n), RKind.GL2 if n == 2 else RKind.GL3)
+    return ROperator(m)
 
 
 def build_sp4_r(x, y):
@@ -127,11 +111,7 @@ def build_sp4_r(x, y):
             m = m + unit_E(sp, i, kk, backend).kron(
                 unit_E(sp, -i, -kk, backend)).scale(-hv * eps(i) * eps(kk))
     m = m.scale(recip(fv))
-    return ROperator(m, (4, 4), RKind.SP4)
-
-
-_BLOCK_KIND = {("+", "+"): RKind.BLOCK_PP, ("+", "-"): RKind.BLOCK_PM,
-               ("-", "+"): RKind.BLOCK_MP, ("-", "-"): RKind.BLOCK_MM}
+    return ROperator(m)
 
 
 def build_block_r(eps1, eps2, x, y, monic=False):
@@ -174,7 +154,7 @@ def build_block_r(eps1, eps2, x, y, monic=False):
             for kk in (1, 2):
                 m = m + unit_E(MINUS, -i, -kk, backend).kron(
                     unit_E(PLUS, i, kk, backend)).scale(-hv)
-    return ROperator(m, (2, 2), _BLOCK_KIND[(eps1, eps2)])
+    return ROperator(m)
 
 
 def coincident_block_r(eps1, eps2, backend):
@@ -202,45 +182,27 @@ def coincident_block_r(eps1, eps2, backend):
         for r in (1, 2):
             for s in (1, 2):
                 m = m + unit_E(MINUS, -r, -s, backend).kron(unit_E(PLUS, r, s, backend))
-    return ROperator(m, (2, 2), _BLOCK_KIND[(eps1, eps2)])
+    return ROperator(m)
+
+
+# rows and columns of the two-sector 16x16 matrix that hold each sign block:
+# block entry (a b, c d) sits at (slot(s1[a]) slot(s2[b]), slot(s1[c]) slot(s2[d]))
+TILDE_SLOTS = {
+    (e1, e2): [SP4_SPACE.index(a) * 4 + SP4_SPACE.index(b) for a in s1 for b in s2]
+    for e1, s1 in (("+", PLUS), ("-", MINUS))
+    for e2, s2 in (("+", PLUS), ("-", MINUS))}
 
 
 def build_tilde_r(x, y):
     """Two-sector 16x16 R-matrix: direct sum of the four sign blocks."""
     backend = _backend_of(x)
-    m = Mat.zeros((16, 16), backend)
-    spaces = {"+": PLUS, "-": MINUS}
-    for e1 in ("+", "-"):
-        for e2 in ("+", "-"):
-            blk = build_block_r(e1, e2, x, y).mat
-            s1, s2 = spaces[e1], spaces[e2]
-            for a in range(2):
-                for b in range(2):
-                    for c in range(2):
-                        for d in range(2):
-                            val = blk.num[a * 2 + b, c * 2 + d]
-                            if val == 0:
-                                continue
-                            row = SP4_SPACE.index(s1[a]) * 4 + SP4_SPACE.index(s2[b])
-                            col = SP4_SPACE.index(s1[c]) * 4 + SP4_SPACE.index(s2[d])
-                            if backend == EXACT:
-                                num = Fraction(int(val), blk.den)
-                                m = m + _entry_mat(16, row, col, num, backend)
-                            else:
-                                m = m + _entry_mat(16, row, col, complex(val), backend)
-    return ROperator(m, (4, 4), RKind.SP4_TILDE)
-
-
-def _entry_mat(n, row, col, value, backend):
-    m = Mat.zeros((n, n), backend)
-    if backend == EXACT:
-        value = Fraction(value)
-        m.num[row, col] = value.numerator
-        m.den = value.denominator
-        m._amax = abs(value.numerator)
-    else:
-        m.num[row, col] = value
-    return m
+    blocks = {signs: build_block_r(*signs, x, y).mat for signs in TILDE_SLOTS}
+    den = lcm(*(blk.den for blk in blocks.values()))
+    num = Mat.zeros((16, 16), backend).num
+    for signs, blk in blocks.items():
+        num[np.ix_(TILDE_SLOTS[signs], TILDE_SLOTS[signs])] = \
+            blk.num * (den // blk.den)
+    return ROperator(Mat(backend, num, den)._reduced())
 
 
 def build_dual_pp(x, y):
@@ -252,7 +214,7 @@ def build_dual_pp(x, y):
         for kk in (1, 2):
             m = m + unit_F(PLUS, i, kk, backend).kron(unit_F(PLUS, kk, i, backend)).scale(gv)
     m = m.scale(recip(fv))
-    return ROperator(m, (2, 2), RKind.DUAL_PP)
+    return ROperator(m)
 
 
 def coincident_dual_pp(backend):
@@ -261,7 +223,7 @@ def coincident_dual_pp(backend):
     for i in (1, 2):
         for kk in (1, 2):
             m = m + unit_F(PLUS, i, kk, backend).kron(unit_F(PLUS, kk, i, backend))
-    return ROperator(m, (2, 2), RKind.DUAL_PP)
+    return ROperator(m)
 
 
 def build_hatted_r(sign, x, u, monic=False):
@@ -283,7 +245,7 @@ def build_hatted_r(sign, x, u, monic=False):
                     unit_F(PLUS, s, r, backend)).scale(gv)
         if not monic:
             m = m.scale(recip(f(u, x)))
-        return ROperator(m, (2, 2), RKind.HATTED_PP)
+        return ROperator(m)
     if monic:
         # (u-x-1) Rhat^(-,+)(x,u), regular at the k-pole
         m = Mat.identity(4, backend).scale(u - x - 1)
@@ -295,7 +257,7 @@ def build_hatted_r(sign, x, u, monic=False):
         for s in (1, 2):
             m = m + unit_E(MINUS, -r, -s, backend).kron(
                 unit_F(PLUS, r, s, backend)).scale(-kv)
-    return ROperator(m, (2, 2), RKind.HATTED_MP)
+    return ROperator(m)
 
 
 def coincident_hatted_r(sign, backend):
@@ -306,12 +268,12 @@ def coincident_hatted_r(sign, backend):
         for r in (1, 2):
             for s in (1, 2):
                 m = m + unit_E(PLUS, r, s, backend).kron(unit_F(PLUS, s, r, backend))
-        return ROperator(m, (2, 2), RKind.HATTED_PP)
+        return ROperator(m)
     m = Mat.identity(4, backend)
     for r in (1, 2):
         for s in (1, 2):
             m = m + unit_E(MINUS, -r, -s, backend).kron(unit_F(PLUS, r, s, backend))
-    return ROperator(m, (2, 2), RKind.HATTED_MP)
+    return ROperator(m)
 
 
 _BUILDERS = {
@@ -325,11 +287,8 @@ _BUILDERS = {
 def check_ybe(kind, x, y, z):
     """Max-abs residual of R12(x,y) R13(x,z) R23(y,z) - R23 R13 R12."""
     build, d = _BUILDERS[kind]
-    dims = [d, d, d]
-    r12 = lift(build(x, y).mat, [0, 1], dims)
-    r13 = lift(build(x, z).mat, [0, 2], dims)
-    r23 = lift(build(y, z).mat, [1, 2], dims)
-    return residual(r12 @ r13 @ r23, r23 @ r13 @ r12)
+    return braid_residual([d, d, d], (build(x, y).mat, [0, 1]),
+                          (build(x, z).mat, [0, 2]), (build(y, z).mat, [1, 2]))
 
 
 def check_unitarity(kind, x, y):
@@ -347,44 +306,38 @@ def mixed_ybe_residual(eps1, eps2, x, y, z):
     R^(e1,e2)_12(x,y) Rhat^(e1,+)_13*(x,z) Rhat^(e2,+)_23*(y,z)
       = Rhat^(e2,+)_23*(y,z) Rhat^(e1,+)_13*(x,z) R^(e1,e2)_12(x,y).
     """
-    dims = [2, 2, 2]
-    r = lift(build_block_r(eps1, eps2, x, y).mat, [0, 1], dims)
-    h1 = lift(build_hatted_r(eps1, x, z).mat, [0, 2], dims)
-    h2 = lift(build_hatted_r(eps2, y, z).mat, [1, 2], dims)
-    return residual(r @ h1 @ h2, h2 @ h1 @ r)
+    return braid_residual([2, 2, 2],
+                          (build_block_r(eps1, eps2, x, y).mat, [0, 1]),
+                          (build_hatted_r(eps1, x, z).mat, [0, 2]),
+                          (build_hatted_r(eps2, y, z).mat, [1, 2]))
 
 
 def dual_reorder_residuals(u1, u2):
     """The four reordering identities behind the multi-root exchange proof.
 
-    Returns the list of max-abs residuals (six comparisons: two of the four
-    identities also collapse to the bare equal-argument matrix).
+    Returns the list of max-abs residuals: the four braids, then the two
+    triple products that also collapse to a bare equal-argument matrix.
     """
     backend = _backend_of(u1)
     dims = [2, 2, 2]
-    out = []
-
-    # plus-aux against two dual legs
-    rs = lift(build_dual_pp(u2, u1).mat, [2, 1], dims)
-    rh = lift(build_hatted_r("+", u2, u1).mat, [0, 1], dims)
-    rc = lift(coincident_hatted_r("+", backend).mat, [0, 2], dims)
-    out.append(residual(rs @ rh @ rc, rc @ rh @ rs))
-    out.append(residual(rs @ rh @ rc, rc))
-
-    # plus-aux against two minus legs
-    rmm = lift(build_block_r("-", "-", u1, u2).mat, [1, 2], dims)
-    rpmc = lift(coincident_block_r("+", "-", backend).mat, [0, 2], dims)
-    rpm = lift(build_block_r("+", "-", u2, u1).mat, [0, 1], dims)
-    out.append(residual(rmm @ rpmc @ rpm, rpm @ rpmc @ rmm))
-
-    # minus-aux against two dual legs
-    rhm = lift(build_hatted_r("-", u2, u1).mat, [0, 1], dims)
-    rcm = lift(coincident_hatted_r("-", backend).mat, [0, 2], dims)
-    out.append(residual(rs @ rhm @ rcm, rcm @ rhm @ rs))
-
-    # minus-aux against two minus legs
-    rmmc = lift(coincident_block_r("-", "-", backend).mat, [0, 2], dims)
-    rmm01 = lift(build_block_r("-", "-", u2, u1).mat, [0, 1], dims)
-    out.append(residual(rmm @ rmmc @ rmm01, rmm01 @ rmmc @ rmm))
-    out.append(residual(rmm @ rmmc @ rmm01, rmmc))
+    rs = (build_dual_pp(u2, u1).mat, [2, 1])
+    rmm = (build_block_r("-", "-", u1, u2).mat, [1, 2])
+    triples = (
+        # plus-aux against two dual legs
+        (rs, (build_hatted_r("+", u2, u1).mat, [0, 1]),
+         (coincident_hatted_r("+", backend).mat, [0, 2])),
+        # plus-aux against two minus legs
+        (rmm, (coincident_block_r("+", "-", backend).mat, [0, 2]),
+         (build_block_r("+", "-", u2, u1).mat, [0, 1])),
+        # minus-aux against two dual legs
+        (rs, (build_hatted_r("-", u2, u1).mat, [0, 1]),
+         (coincident_hatted_r("-", backend).mat, [0, 2])),
+        # minus-aux against two minus legs
+        (rmm, (coincident_block_r("-", "-", backend).mat, [0, 2]),
+         (build_block_r("-", "-", u2, u1).mat, [0, 1])))
+    out = [braid_residual(dims, *ops) for ops in triples]
+    # the first and last triple products collapse to their equal-argument factor
+    for ops, bare in ((triples[0], 2), (triples[3], 1)):
+        lifted = [lift(op, legs, dims) for op, legs in ops]
+        out.append(residual(lifted[0] @ lifted[1] @ lifted[2], lifted[bare]))
     return out

@@ -1,12 +1,15 @@
-"""Exact/float matrix kernel: arithmetic, overflow fallback, leg embedding."""
+"""Exact/float matrix kernel: arithmetic, overflow fallback, leg embedding,
+the three-leg braid residual."""
 
 from fractions import Fraction as Fr
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from betheforge.linalg import EXACT, FLOAT, Mat, hstack, lift, residual, \
-    rref_basis, swap_mat
+from betheforge.linalg import EXACT, FLOAT, Mat, braid_residual, hstack, \
+    lift, residual, rref_basis, swap_mat
 
 
 def test_exact_construction_and_entries():
@@ -98,3 +101,51 @@ def test_hstack():
     assert h.shape == (2, 2)
     assert h.entry(0, 0) == Fr(1, 2)
     assert h.entry(1, 1) == Fr(1, 3)
+
+
+def _rational_mat(rng, rows, cols):
+    num = rng.integers(-3, 4, size=(rows, cols))
+    return Mat.from_scalars([[Fr(int(v), int(rng.choice([1, 2, 3])))
+                              for v in row] for row in num], EXACT)
+
+
+@st.composite
+def braid_cases(draw):
+    """Random legs and dims, three rational operators on random leg
+    subsets (in random order), and optionally a block of columns."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)
+                .filter(lambda d: prod(d) <= 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for _ in range(3):
+        legs = draw(st.permutations(range(len(dims))))
+        legs = legs[:draw(st.integers(1, len(legs)))]
+        size = prod(dims[i] for i in legs)
+        ops.append((_rational_mat(rng, size, size), legs))
+    cols = None
+    if draw(st.booleans()):
+        cols = _rational_mat(rng, prod(dims), draw(st.integers(1, 3)))
+    return dims, ops, cols
+
+
+@given(braid_cases())
+def test_braid_residual_matches_written_out_lift_products(case):
+    dims, ops, cols = case
+    a, b, c = (lift(op, legs, dims) for op, legs in ops)
+    lhs, rhs = a @ b @ c, c @ b @ a
+    if cols is None:
+        expect = residual(lhs, rhs)
+    else:
+        expect = residual(lhs @ cols, rhs @ cols)
+    assert braid_residual(dims, *ops, cols=cols) == expect
+
+
+def test_braid_residual_of_non_commuting_factors_is_nonzero():
+    # A B C - C B A = [s, t] (x) 1 on two qubits, with [s, t] = diag(1, -1)
+    s = (Mat.from_scalars([[0, 1], [0, 0]], EXACT), [0])
+    t = (Mat.from_scalars([[0, 0], [1, 0]], EXACT), [0])
+    one = (Mat.identity(2, EXACT), [1])
+    assert braid_residual([2, 2], s, t, one) == 1
+    assert braid_residual([2, 2], s, t, one,
+                          cols=Mat.basis_vector(4, 2, EXACT)) == 1
+    assert braid_residual([2, 2], s, s, one) == 0

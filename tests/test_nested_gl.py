@@ -13,9 +13,9 @@ from betheforge.nested_gl import (gl2_eigenvalue,
                                   gl2_exchange_residuals, gl2_residuals,
                                   gl2_vector, gl3_eigenvalue,
                                   gl3_hatted_rtt_residual, gl3_inner_state,
-                                  gl3_mu, gl3_omega_hat, gl3_pair,
-                                  gl3_residuals,
+                                  gl3_mu, gl3_residuals,
                                   gl3_vacuum_relation_residuals, gl3_vector)
+from betheforge.nested_sp4 import omega_hat, pairing_matrix
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ def test_gl3_dressed_monodromy_is_the_plus_wing(gl3_chain, M):
     that = written_out(u)
     t12 = Mat(EXACT, that.num[:n, n:], that.den)
     phi = gl3_inner_state(gl3_chain, [u], tuple(vvec))
-    assert residual(phi, t12 @ gl3_omega_hat(gl3_chain, M)) == 0
+    assert residual(phi, t12 @ omega_hat(gl3_chain, (1,) * M)) == 0
 
 
 def test_gl3_dressed_rtt():
@@ -169,7 +169,7 @@ def test_gl3_exact_inner_eigenvector(gl3_chain):
 def test_gl3_pairing_contracts_components(gl3_chain):
     # pairing must apply T^{a}_3(v) against the matching dual component
     v = Fr(7, 3)
-    om = gl3_omega_hat(gl3_chain, 1)
-    paired = gl3_pair(gl3_chain, (v,), om)
+    om = omega_hat(gl3_chain, (1,))
+    paired = pairing_matrix(gl3_chain, [(0, v)], lower=(3,)) @ om
     direct = gl3_chain.t(2, 3, v) @ gl3_chain.vacuum().omega
     assert residual(paired, direct) == 0

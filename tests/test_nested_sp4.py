@@ -109,7 +109,7 @@ def test_single_root_pairing_and_distinct_roots(sp1):
         assert residual(Mat(EXACT, p.num[:, n * D:(n + 1) * D], p.den),
                         sp1.t(i, -k, u)) == 0
     # pairing the reduced vacuum picks the (1,-1) entry
-    paired = p @ omega_hat(sp1, 1)
+    paired = p @ omega_hat(sp1, (0, 0))
     direct = sp1.t(1, -1, u) @ sp1.vacuum().omega
     assert residual(paired, direct) == 0
     with pytest.raises(ValueError):
@@ -348,13 +348,10 @@ def test_reduced_vacuum_mismatch_detected(sp1, monkeypatch):
     import betheforge.nested_sp4 as mod
     from betheforge.nested_sp4 import VacuumMismatchError
 
-    def bad_omega(chain, n):
-        legs = None
-        for _ in range(2 * n):
-            leg = Mat.basis_vector(2, 1, chain.backend)  # wrong slot
-            legs = leg if legs is None else legs.kron(leg)
-        om = chain.vacuum().omega
-        return om if legs is None else legs.kron(om)
+    good_omega = mod.omega_hat
+
+    def bad_omega(chain, slots):
+        return good_omega(chain, [1 for _ in slots])  # wrong slot
 
     monkeypatch.setattr(mod, "omega_hat", bad_omega)
     with pytest.raises(VacuumMismatchError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from betheforge.linalg import EXACT, Mat, residual
-from betheforge.rmatrix import (MINUS, PLUS, RKind, build_block_r,
+from betheforge.rmatrix import (MINUS, PLUS, build_block_r,
                                 build_dual_pp, build_gl_r, build_hatted_r,
                                 build_sp4_r, build_tilde_r, check_unitarity,
                                 check_ybe, coincident_block_r,
@@ -36,7 +36,6 @@ def test_gl2_r_frozen_matrix():
               [0, Fr(1, 3), Fr(2, 3), 0],
               [0, 0, 0, 1]]
     assert residual(r.mat, Mat.from_scalars(expect, EXACT)) == 0
-    assert r.kind is RKind.GL2
     with pytest.raises(PoleError):
         build_gl_r(2, Fr(1), Fr(1))
 
