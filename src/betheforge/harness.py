@@ -43,9 +43,6 @@ from . import bethe_solver as solver
 from .scalars import RootSet, f, g, sum_identity_residuals
 
 SCHEMA_VERSION = 1
-# bounds the exact identity checks' lifted operators; the dense float oracle
-# has its own, smaller bound (chain.SPECTRUM_CAPACITY)
-CAPACITY_DIM = 4096
 FLOAT_TOL = 1e-12
 
 
@@ -162,9 +159,6 @@ def _tilde_sectors(x, y):
 def _dressed_rtt(ch, *pts):
     """Dressed RTT for the four sign pairs at roots pts[:-2], x, y = pts[-2:]."""
     *roots, x, y = pts
-    dim = 4 * (4 ** len(roots)) * ch.dim
-    if dim > CAPACITY_DIM:
-        raise SkipCase(f"total dimension {dim} exceeds {CAPACITY_DIM}")
     return [dressed_rtt_residual(ch, *signs, x, y, tuple(roots))
             for signs in _SIGN_PAIRS]
 

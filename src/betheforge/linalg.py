@@ -11,10 +11,15 @@ Everything downstream (R-matrices, monodromies, Bethe vectors) is built on
   rationals test as exact zeros.
 * ``"float"`` -- a plain complex128 numpy array.
 
-Tensor-leg embedding (`lift`) places an operator acting on a subset of legs
-into the full Kronecker product, identity elsewhere; spaces here are small
-(<= a few hundred dimensions), so everything stays dense.  `braid_residual`
-is the one embed-and-compare step behind every three-leg identity check.
+Operators that act on a few tensor legs of a larger space are applied to
+columns by `apply_on_legs`: the columns are viewed as a tensor over the
+legs, the listed legs are moved to the front, and one product through
+`Mat.__matmul__` does the work, as a matrix-product operator is applied
+(Schollwoeck, arXiv:1008.3477).  `lift`, the dense embedding into the full
+Kronecker product with identity elsewhere, remains only where the dense
+operator is itself what a check claims, and as the test oracle of
+`apply_on_legs`.  `braid_residual` is the one embed-and-compare step behind
+every three-leg identity check.
 """
 
 from __future__ import annotations
@@ -245,17 +250,50 @@ def lift(op, legs, dims):
                amax=full._amax if op.backend == EXACT else None)
 
 
+def apply_on_legs(op, legs, dims, cols):
+    """lift(op, legs, dims) @ cols, without forming the lift.
+
+    The rows of `cols` are read as a tensor over `dims`; the listed legs
+    are moved to the front in order, `op` multiplies the resulting
+    (prod of their dims, rest) matrix, and the axes are moved back.  The
+    product goes through `Mat.__matmul__`, so the exact int64/bigint
+    choice is the kernel's own.
+    """
+    legs = list(legs)
+    if legs == list(range(len(dims))):
+        return op @ cols
+    front = list(range(len(legs)))
+    arr = np.moveaxis(cols.num.reshape(list(dims) + [-1]), legs, front)
+    moved = arr.shape
+    flat = Mat(cols.backend, arr.reshape(op.shape[1], -1), cols.den,
+               amax=cols._amax)
+    out = op @ flat
+    back = np.moveaxis(out.num.reshape(moved), front, legs)
+    return Mat(cols.backend, back.reshape(cols.shape), out.den,
+               amax=out._amax)
+
+
 def braid_residual(dims, a, b, c, cols=None):
     """max|(A B C - C B A) cols|, or the plain max-abs residual when `cols`
     is None.
 
-    `a`, `b`, `c` are (Mat, legs) pairs, lifted onto the tensor legs `dims`.
+    `a`, `b`, `c` are (Mat, legs) pairs on the tensor legs `dims`.  With
+    `cols` both products are applied to the columns one operand at a time
+    (`apply_on_legs`); without, the operands are lifted and multiplied out.
     Every RTT, Yang-Baxter and reordering identity of the package is this
     relation on three legs.
     """
-    a, b, c = (lift(op, legs, dims) for op, legs in (a, b, c))
-    diff = a @ b @ c - c @ b @ a
-    return (diff if cols is None else diff @ cols).max_abs()
+    if cols is None:
+        a, b, c = (lift(op, legs, dims) for op, legs in (a, b, c))
+        return (a @ b @ c - c @ b @ a).max_abs()
+
+    def applied(*ops):
+        out = cols
+        for op, legs in reversed(ops):
+            out = apply_on_legs(op, legs, dims, out)
+        return out
+
+    return (applied(a, b, c) - applied(c, b, a)).max_abs()
 
 
 def swap_mat(d1, d2, backend):

@@ -40,8 +40,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .chain import Chain, aux_matrix
-from .linalg import (EXACT, Mat, ZeroVectorError, braid_residual,
-                     check_nonzero, hstack, lift, residual, rref_basis)
+from .linalg import (EXACT, Mat, ZeroVectorError, apply_on_legs,
+                     braid_residual, check_nonzero, hstack, lift, residual,
+                     rref_basis)
 from .rmatrix import (MINUS, PLUS, build_block_r, build_dual_pp, build_hatted_r,
                       build_tilde_r, coincident_block_r, coincident_hatted_r)
 from .scalars import (F2_left, F2_right, F_left, F_right, RootSet, _residual_pair,
@@ -208,11 +209,15 @@ def _hat_dims(chain: Chain, n_legs):
 
 def hatted_factors(chain: Chain, sign, x, uvec, coincident_slot=None,
                    monic=False, minus_roots=None):
-    """Left-to-right factor list of That(sign)(x; u) on [aux, duals, minuses, W].
+    """Left-to-right factors of That(sign)(x; u) on [aux, duals, minuses, W].
 
-    The dual legs carry the roots `uvec` and the minus legs `minus_roots`,
-    which default to `uvec` as in the B-string.  The gl(3) nesting passes
-    no minus roots: its dressed monodromy is the plus wing on dual legs only.
+    Returns `(factors, dims)`: `factors` is the list of (Mat, legs) pairs,
+    each a two-leg operator (the auxiliary leg and one dressing leg, or the
+    auxiliary leg and W), and `dims` the leg dimensions of Vhat with the
+    auxiliary leg in front.  The dual legs carry the roots `uvec` and the
+    minus legs `minus_roots`, which default to `uvec` as in the B-string.
+    The gl(3) nesting passes no minus roots: its dressed monodromy is the
+    plus wing on dual legs only.
     """
     minus = tuple(uvec) if minus_roots is None else tuple(minus_roots)
     N, n_minus = len(uvec), len(minus)
@@ -224,35 +229,39 @@ def hatted_factors(chain: Chain, sign, x, uvec, coincident_slot=None,
             m = coincident_hatted_r(sign, backend).mat
         else:
             m = build_hatted_r(sign, x, uvec[j], monic=monic).mat
-        facs.append(lift(m, [0, 1 + j], dims))
-    facs.append(lift(aux_matrix(chain, x, BLOCK_SECTORS[sign]),
-                     [0, 1 + N + n_minus], dims))
+        facs.append((m, [0, 1 + j]))
+    facs.append((aux_matrix(chain, x, BLOCK_SECTORS[sign]),
+                 [0, 1 + N + n_minus]))
     for j in reversed(range(n_minus)):
         if coincident_slot is not None and j == coincident_slot:
             m = coincident_block_r(sign, "-", backend).mat
         else:
             m = build_block_r(sign, "-", x, minus[j], monic=monic).mat
-        facs.append(lift(m, [0, 1 + N + j], dims))
-    return facs
+        facs.append((m, [0, 1 + N + j]))
+    return facs, dims
 
 
 def hatted_matrix(chain: Chain, sign, x, uvec, coincident_slot=None,
                   monic=False, minus_roots=None) -> Mat:
+    """That(sign)(x; u) as one dense matrix: the product of lifted factors."""
+    facs, dims = hatted_factors(chain, sign, x, uvec, coincident_slot, monic,
+                                minus_roots)
     out = None
-    for fac in hatted_factors(chain, sign, x, uvec, coincident_slot, monic,
-                              minus_roots):
+    for op, legs in facs:
+        fac = lift(op, legs, dims)
         out = fac if out is None else out @ fac
     return out
 
 
 def hatted_apply(chain: Chain, sign, x, uvec, vec, coincident_slot=None,
                  monic=False, minus_roots=None) -> Mat:
-    """Apply That(sign)(x; u) to a vector carrying the auxiliary leg."""
-    facs = hatted_factors(chain, sign, x, uvec, coincident_slot, monic,
-                          minus_roots)
+    """Apply That(sign)(x; u) to a vector carrying the auxiliary leg, one
+    factor at a time, right to left."""
+    facs, dims = hatted_factors(chain, sign, x, uvec, coincident_slot, monic,
+                                minus_roots)
     cur = vec
-    for fac in reversed(facs):
-        cur = fac @ cur
+    for op, legs in reversed(facs):
+        cur = apply_on_legs(op, legs, dims, cur)
     return cur
 
 

@@ -94,14 +94,17 @@ def test_criterion_04_reduced_vacuum_weights():
     def body():
         from betheforge.nested_sp4 import reduced_vacuum_residuals
         rng = np.random.default_rng(SEED + 3)
+        t0 = time.perf_counter()
         ch = _chain("sp4", 1)
         for n in (1, 2, 3):
             for _ in range(10):
                 pts = random_points(rng, n + 1, taken=(Fr(0),))
                 rs = reduced_vacuum_residuals(ch, tuple(pts[:n]), pts[-1])
                 assert all(r == 0 for r in rs)
-    _announce(4, "all six reduced-vacuum relations exact, N in {1,2,3}",
-              body)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 3.0, f"runtime {elapsed:.1f}s exceeds 3s"
+    _announce(4, "all six reduced-vacuum relations exact, N in {1,2,3}, "
+                 "under 3 s", body)
 
 
 def test_criterion_05_operator_identity_suite():

@@ -1,5 +1,5 @@
 """Exact/float matrix kernel: arithmetic, overflow fallback, leg embedding,
-the three-leg braid residual."""
+the leg-by-leg apply, the three-leg braid residual."""
 
 from fractions import Fraction as Fr
 from math import prod
@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from betheforge.linalg import EXACT, FLOAT, Mat, braid_residual, hstack, \
-    lift, residual, rref_basis, swap_mat
+from betheforge.linalg import EXACT, FLOAT, Mat, apply_on_legs, \
+    braid_residual, hstack, lift, residual, rref_basis, swap_mat
+from conftest import rational_mat
 
 
 def test_exact_construction_and_entries():
@@ -103,12 +104,6 @@ def test_hstack():
     assert h.entry(1, 1) == Fr(1, 3)
 
 
-def _rational_mat(rng, rows, cols):
-    num = rng.integers(-3, 4, size=(rows, cols))
-    return Mat.from_scalars([[Fr(int(v), int(rng.choice([1, 2, 3])))
-                              for v in row] for row in num], EXACT)
-
-
 @st.composite
 def braid_cases(draw):
     """Random legs and dims, three rational operators on random leg
@@ -121,11 +116,60 @@ def braid_cases(draw):
         legs = draw(st.permutations(range(len(dims))))
         legs = legs[:draw(st.integers(1, len(legs)))]
         size = prod(dims[i] for i in legs)
-        ops.append((_rational_mat(rng, size, size), legs))
+        ops.append((rational_mat(rng, size, size), legs))
     cols = None
     if draw(st.booleans()):
-        cols = _rational_mat(rng, prod(dims), draw(st.integers(1, 3)))
+        cols = rational_mat(rng, prod(dims), draw(st.integers(1, 3)))
     return dims, ops, cols
+
+
+@st.composite
+def leg_cases(draw):
+    """Random legs and dims, one rational operator on a random ordered leg
+    subset (non-adjacent and reversed ones included), a column block, and
+    whether the numerators are scaled past the int64 bound."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    legs = draw(st.permutations(range(len(dims))))
+    legs = legs[:draw(st.integers(1, len(legs)))]
+    size = prod(dims[i] for i in legs)
+    op = rational_mat(rng, size, size)
+    cols = rational_mat(rng, prod(dims), draw(st.integers(1, 3)))
+    big = draw(st.booleans())
+    if big:
+        # 5**30 > 2**62 and shares no factor with the denominators
+        op = Mat(EXACT, op.num * 5 ** 30, op.den)._reduced()
+    return dims, list(legs), op, cols, big
+
+
+def _same_exact(a, b):
+    return (a.den == b.den and a.shape == b.shape
+            and all(int(x) == int(y) for x, y in zip(a.num.flat, b.num.flat)))
+
+
+@given(leg_cases())
+def test_apply_on_legs_matches_lift(case):
+    dims, legs, op, cols, big = case
+    got = apply_on_legs(op, legs, dims, cols)
+    assert _same_exact(got, lift(op, legs, dims) @ cols)
+    if big:
+        return
+    fop, fcols = (Mat(FLOAT, m.to_complex()) for m in (op, cols))
+    got = apply_on_legs(fop, legs, dims, fcols)
+    want = lift(fop, legs, dims) @ fcols
+    assert got.shape == want.shape and residual(got, want) <= 1e-12
+
+
+def test_apply_on_legs_takes_the_bigint_path_exactly():
+    # numerators past 2**62 force object-dtype products on both sides
+    rng = np.random.default_rng(5)
+    dims = [2, 3, 2]
+    op = rational_mat(rng, 4, 4)
+    op = Mat(EXACT, op.num * 2 ** 70 + 1, op.den)
+    cols = rational_mat(rng, 12, 2)
+    got = apply_on_legs(op, [2, 0], dims, cols)
+    assert got.amax() >= 2 ** 63
+    assert _same_exact(got, lift(op, [2, 0], dims) @ cols)
 
 
 @given(braid_cases())

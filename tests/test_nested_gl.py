@@ -16,6 +16,7 @@ from betheforge.nested_gl import (gl2_eigenvalue,
                                   gl3_mu, gl3_residuals,
                                   gl3_vacuum_relation_residuals, gl3_vector)
 from betheforge.nested_sp4 import omega_hat, pairing_matrix
+from conftest import rational_mat
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,17 @@ def test_gl3_dressed_monodromy_is_the_plus_wing(gl3_chain, M):
     t12 = Mat(EXACT, that.num[:n, n:], that.den)
     phi = gl3_inner_state(gl3_chain, [u], tuple(vvec))
     assert residual(phi, t12 @ omega_hat(gl3_chain, (1,) * M)) == 0
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_gl3_hatted_apply_is_the_dense_product(gl3_chain, M):
+    from betheforge.nested_sp4 import hatted_apply, hatted_matrix
+    rng = np.random.default_rng(30 + M)
+    *vvec, x = _clear_points(rng, M + 1)
+    vec = rational_mat(rng, 2 * 2 ** M * gl3_chain.dim, 2)
+    args = (gl3_chain, "+", x, tuple(vvec))
+    assert residual(hatted_apply(*args, vec, minus_roots=()),
+                    hatted_matrix(*args, minus_roots=()) @ vec) == 0
 
 
 def test_gl3_dressed_rtt():

@@ -13,8 +13,9 @@ from betheforge.nested_sp4 import (BLOCK_SECTORS, Sp4BetheConfig,
                                    b_reorder_residual,
                                    block_commutativity_residuals,
                                    block_rtt_residual,
-                                   dressed_rtt_residual,
-                                   hatted_matrix, mu_weight,
+                                   dressed_rtt_residual, hatted_apply,
+                                   hatted_block_apply, hatted_matrix,
+                                   mu_weight,
                                    multi_exchange_residual,
                                    offblock_annihilation_residual, omega_hat,
                                    pairing_matrix, prop_eigenvalue,
@@ -26,7 +27,7 @@ from betheforge.nested_sp4 import (BLOCK_SECTORS, Sp4BetheConfig,
                                    tilde_rtt_residual, tilde_state,
                                    w0_basis)
 from betheforge.scalars import F_left, PoleError, RootSet
-from conftest import block
+from conftest import block, rational_mat
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,38 @@ def test_dressing_is_trivial_for_empty_roots(sp1):
     for sign in "+-":
         assert residual(hatted_matrix(sp1, sign, x, ()),
                         aux_matrix(sp1, x, BLOCK_SECTORS[sign])) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("coincident_slot", [None, 0])
+@pytest.mark.parametrize("monic", [False, True])
+def test_hatted_apply_is_the_dense_product(sp1, n, coincident_slot, monic):
+    rng = np.random.default_rng(50 + n)
+    *uvec, x = _pts(rng, n + 1, taken=(Fr(0),))
+    vec = rational_mat(rng, 2 * 4 ** n * sp1.dim, 2)
+    for sign in "+-":
+        args = (sp1, sign, x, tuple(uvec))
+        kw = dict(coincident_slot=coincident_slot, monic=monic)
+        assert residual(hatted_apply(*args, vec, **kw),
+                        hatted_matrix(*args, **kw) @ vec) == 0
+
+
+def test_hatted_apply_path_builds_no_lift(sp1, monkeypatch):
+    import betheforge.linalg
+    import betheforge.nested_sp4
+
+    def no_lift(*args):
+        raise AssertionError("dense lift on the hatted_apply path")
+
+    monkeypatch.setattr(betheforge.nested_sp4, "lift", no_lift)
+    monkeypatch.setattr(betheforge.linalg, "lift", no_lift)
+    rng = np.random.default_rng(49)
+    *uvec, x = _pts(rng, 3, taken=(Fr(0),))
+    rs = reduced_vacuum_residuals(sp1, tuple(uvec), x)
+    assert all(r == 0 for r in rs)
+    om = omega_hat(sp1, (0,) * 4)
+    v = hatted_block_apply(sp1, "-", (1, 1), x, tuple(uvec), om)
+    assert residual(v, om.scale(mu_weight(sp1, -1, x, uvec))) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
