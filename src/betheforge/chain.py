@@ -304,9 +304,9 @@ class Chain:
 def check_rtt(chain: Chain, x, y):
     """Max-abs residual of R12(x,y) T1(x) T2(y) - T2(y) T1(x) R12(x,y)."""
     d = chain.d
-    return braid_residual([d, d, chain.dim], (chain.site_r(x, y), [0, 1]),
-                          (aux_matrix(chain, x), [0, 2]),
-                          (aux_matrix(chain, y), [1, 2]))
+    return braid_residual([d, d, chain.dim], [(chain.site_r(x, y), [0, 1])],
+                          [(aux_matrix(chain, x), [0, 2])],
+                          [(aux_matrix(chain, y), [1, 2])])
 
 
 def aux_matrix(chain: Chain, x, sectors=None) -> Mat:

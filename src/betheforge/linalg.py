@@ -11,21 +11,23 @@ Everything downstream (R-matrices, monodromies, Bethe vectors) is built on
   rationals test as exact zeros.
 * ``"float"`` -- a plain complex128 numpy array.
 
-Operators that act on a few tensor legs of a larger space are applied to
-columns by `apply_on_legs`: the columns are viewed as a tensor over the
-legs, the listed legs are moved to the front, and one product through
-`Mat.__matmul__` does the work, as a matrix-product operator is applied
-(Schollwoeck, arXiv:1008.3477).  `lift`, the dense embedding into the full
-Kronecker product with identity elsewhere, remains only where the dense
-operator is itself what a check claims, and as the test oracle of
-`apply_on_legs`.  `braid_residual` is the one embed-and-compare step behind
-every three-leg identity check.
+Every operator the package applies is a string of factors, each acting
+on a few tensor legs of a larger space, and `apply_on_legs` is the one
+primitive that applies such a string to a block of columns: per factor,
+the columns are viewed as a tensor over the legs, the factor's legs are
+moved to the front, and one product through `Mat.__matmul__` does the
+work, as a matrix-product operator is applied (Schollwoeck,
+arXiv:1008.3477).  A single operator is a one-factor string.
+`braid_residual` compares two such products behind every RTT, Yang-Baxter
+and reordering check.  `lift`, the dense embedding into the full Kronecker
+product with identity elsewhere, is no part of any package path: it is the
+oracle the tests hold `apply_on_legs` to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -107,7 +109,8 @@ class Mat:
     def amax(self):
         """Largest absolute numerator (exact backend only)."""
         if self._amax is None:
-            self._amax = max((abs(int(x)) for x in self.num.flat), default=0)
+            self._amax = (max(int(self.num.max()), -int(self.num.min()))
+                          if self.num.size else 0)
         return self._amax
 
     def _reduced(self):
@@ -144,12 +147,18 @@ class Mat:
             return Mat(FLOAT, self.num @ other.num)
         inner = self.shape[1]
         bound = inner * self.amax() * other.amax()
-        if bound < _INT64_SAFE:
+        amax = None
+        if bound == 0:
+            # a zero operand, whose partner may not fit in int64
+            c = np.zeros((self.shape[0], other.shape[1]), dtype=np.int64)
+            amax = 0
+        elif bound < _INT64_SAFE:
             c = self.num.astype(np.int64) @ other.num.astype(np.int64)
+            amax = int(np.abs(c).max()) if c.size else 0
             c = c.astype(object)
         else:
             c = self.num.dot(other.num)
-        return Mat(EXACT, c, self.den * other.den)._reduced()
+        return Mat(EXACT, c, self.den * other.den, amax=amax)._reduced()
 
     def __add__(self, other):
         if self.backend == FLOAT:
@@ -227,6 +236,8 @@ def lift(op, legs, dims):
     """Embed `op` (acting on the listed legs, in that order) into prod(dims).
 
     `dims` is the full list of leg dimensions; identity on all other legs.
+    The package applies operators through `apply_on_legs`; this dense
+    embedding is kept as the oracle its tests compare against.
     """
     n = len(dims)
     rest = [i for i in range(n) if i not in legs]
@@ -250,62 +261,49 @@ def lift(op, legs, dims):
                amax=full._amax if op.backend == EXACT else None)
 
 
-def apply_on_legs(op, legs, dims, cols):
-    """lift(op, legs, dims) @ cols, without forming the lift.
+def apply_on_legs(factors, dims, cols):
+    """The operator string A_1 A_2 ... A_n applied to `cols`, without
+    forming any lift.
 
-    The rows of `cols` are read as a tensor over `dims`; the listed legs
-    are moved to the front in order, `op` multiplies the resulting
-    (prod of their dims, rest) matrix, and the axes are moved back.  The
-    product goes through `Mat.__matmul__`, so the exact int64/bigint
-    choice is the kernel's own.
+    `factors` lists the (Mat, legs) pairs left to right; they act right
+    to left.  For each, the rows of the current columns are read as a
+    tensor over `dims`, the listed legs are moved to the front in order,
+    the operator multiplies the resulting (prod of their dims, rest)
+    matrix, and the axes are moved back.  The products go through
+    `Mat.__matmul__`, so the exact int64/bigint choice is the kernel's own.
     """
-    legs = list(legs)
-    if legs == list(range(len(dims))):
-        return op @ cols
-    front = list(range(len(legs)))
-    arr = np.moveaxis(cols.num.reshape(list(dims) + [-1]), legs, front)
-    moved = arr.shape
-    flat = Mat(cols.backend, arr.reshape(op.shape[1], -1), cols.den,
-               amax=cols._amax)
-    out = op @ flat
-    back = np.moveaxis(out.num.reshape(moved), front, legs)
-    return Mat(cols.backend, back.reshape(cols.shape), out.den,
-               amax=out._amax)
+    everything = list(range(len(dims)))
+    out = cols
+    for op, legs in reversed(factors):
+        legs = list(legs)
+        if legs == everything:
+            out = op @ out
+            continue
+        front = list(range(len(legs)))
+        arr = np.moveaxis(out.num.reshape(list(dims) + [-1]), legs, front)
+        moved = arr.shape
+        flat = Mat(out.backend, arr.reshape(op.shape[1], -1), out.den,
+                   amax=out._amax)
+        acted = op @ flat
+        back = np.moveaxis(acted.num.reshape(moved), front, legs)
+        out = Mat(out.backend, back.reshape(out.shape), acted.den,
+                  amax=acted._amax)
+    return out
 
 
 def braid_residual(dims, a, b, c, cols=None):
-    """max|(A B C - C B A) cols|, or the plain max-abs residual when `cols`
-    is None.
+    """max|(A B C - C B A) cols|, with `cols` the identity when None.
 
-    `a`, `b`, `c` are (Mat, legs) pairs on the tensor legs `dims`.  With
-    `cols` both products are applied to the columns one operand at a time
-    (`apply_on_legs`); without, the operands are lifted and multiplied out.
-    Every RTT, Yang-Baxter and reordering identity of the package is this
-    relation on three legs.
+    `a`, `b`, `c` are factor strings on the tensor legs `dims` (lists of
+    (Mat, legs) pairs, left to right, as `apply_on_legs` takes them).
+    Both products are applied to the columns one factor at a time.  Every
+    RTT, Yang-Baxter and reordering identity of the package is this
+    relation on three operands.
     """
     if cols is None:
-        a, b, c = (lift(op, legs, dims) for op, legs in (a, b, c))
-        return (a @ b @ c - c @ b @ a).max_abs()
-
-    def applied(*ops):
-        out = cols
-        for op, legs in reversed(ops):
-            out = apply_on_legs(op, legs, dims, out)
-        return out
-
-    return (applied(a, b, c) - applied(c, b, a)).max_abs()
-
-
-def swap_mat(d1, d2, backend):
-    """Exchange operator V1 (x) V2 -> V2 (x) V1."""
-    m = Mat.zeros((d1 * d2, d1 * d2), backend)
-    one = 1 if backend == EXACT else 1.0
-    for a in range(d1):
-        for b in range(d2):
-            m.num[b * d1 + a, a * d2 + b] = one
-    if backend == EXACT:
-        m._amax = 1
-    return m
+        cols = Mat.identity(prod(dims), a[0][0].backend)
+    return (apply_on_legs(a + b + c, dims, cols)
+            - apply_on_legs(c + b + a, dims, cols)).max_abs()
 
 
 def hstack(mats):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .chain import Chain
 from .linalg import Mat, braid_residual, check_nonzero, residual
-from .nested_sp4 import (hatted_block_apply, hatted_matrix, omega_hat,
+from .nested_sp4 import (hatted_block_apply, hatted_braid_factors, omega_hat,
                          pairing_matrix)
 from .rmatrix import build_gl_r
 from .scalars import F_left, F_right, RootSet, _residual_pair, _roots, g
@@ -157,9 +157,8 @@ def gl3_residuals(chain: Chain, uroots, vroots):
 
 def gl3_hatted_rtt_residual(chain: Chain, vvec, x, y):
     """RTT residual of the dressed monodromies against the gl(2) R-matrix."""
-    M = len(vvec)
-    inner_legs = list(range(2, 3 + M))
     return braid_residual(
-        [2, 2] + [2] * M + [chain.dim], (build_gl_r(2, x, y).mat, [0, 1]),
-        (hatted_matrix(chain, "+", x, vvec, minus_roots=()), [0] + inner_legs),
-        (hatted_matrix(chain, "+", y, vvec, minus_roots=()), [1] + inner_legs))
+        [2, 2] + [2] * len(vvec) + [chain.dim],
+        [(build_gl_r(2, x, y).mat, [0, 1])],
+        hatted_braid_factors(chain, 0, "+", x, vvec, minus_roots=()),
+        hatted_braid_factors(chain, 1, "+", y, vvec, minus_roots=()))

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .chain import Chain, aux_matrix
 from .linalg import (EXACT, Mat, ZeroVectorError, apply_on_legs,
-                     braid_residual, check_nonzero, hstack, lift, residual,
+                     braid_residual, check_nonzero, hstack, residual,
                      rref_basis)
 from .rmatrix import (MINUS, PLUS, build_block_r, build_dual_pp, build_hatted_r,
                       build_tilde_r, coincident_block_r, coincident_hatted_r)
@@ -114,18 +115,18 @@ def offblock_annihilation_residual(chain: Chain, x):
 def block_rtt_residual(chain: Chain, eps1, eps2, x, y):
     """Block RTT relation residual, restricted to W0."""
     return braid_residual(
-        [2, 2, chain.dim], (build_block_r(eps1, eps2, x, y).mat, [0, 1]),
-        (aux_matrix(chain, x, BLOCK_SECTORS[eps1]), [0, 2]),
-        (aux_matrix(chain, y, BLOCK_SECTORS[eps2]), [1, 2]),
+        [2, 2, chain.dim], [(build_block_r(eps1, eps2, x, y).mat, [0, 1])],
+        [(aux_matrix(chain, x, BLOCK_SECTORS[eps1]), [0, 2])],
+        [(aux_matrix(chain, y, BLOCK_SECTORS[eps2]), [1, 2])],
         Mat.identity(4, chain.backend).kron(w0_columns(chain)))
 
 
 def tilde_rtt_residual(chain: Chain, x, y):
     """RTT of T(+) + T(-) against the two-sector 16x16 R-matrix, on W0."""
     return braid_residual(
-        [4, 4, chain.dim], (build_tilde_r(x, y).mat, [0, 1]),
-        (aux_matrix(chain, x, TILDE_SECTORS), [0, 2]),
-        (aux_matrix(chain, y, TILDE_SECTORS), [1, 2]),
+        [4, 4, chain.dim], [(build_tilde_r(x, y).mat, [0, 1])],
+        [(aux_matrix(chain, x, TILDE_SECTORS), [0, 2])],
+        [(aux_matrix(chain, y, TILDE_SECTORS), [1, 2])],
         Mat.identity(16, chain.backend).kron(w0_columns(chain)))
 
 
@@ -193,9 +194,10 @@ def b_reorder_residual(chain: Chain, x, y):
     dims = [2, 2, 2, 2, chain.dim]  # dual1, dual2, minus1, minus2, W
     lhs = pairing_matrix(chain, [(0, x), (1, y)])
     rhs = pairing_matrix(chain, [(1, y), (0, x)])
-    rs = lift(build_dual_pp(y, x).mat, [1, 0], dims)
-    rmm = lift(build_block_r("-", "-", x, y).mat, [2, 3], dims)
-    return residual(lhs, rhs @ rs @ rmm)
+    reorder = apply_on_legs([(build_dual_pp(y, x).mat, [1, 0]),
+                             (build_block_r("-", "-", x, y).mat, [2, 3])],
+                            dims, Mat.identity(prod(dims), chain.backend))
+    return residual(lhs, rhs @ reorder)
 
 
 # ---------------------------------------------------------------------
@@ -241,16 +243,13 @@ def hatted_factors(chain: Chain, sign, x, uvec, coincident_slot=None,
     return facs, dims
 
 
-def hatted_matrix(chain: Chain, sign, x, uvec, coincident_slot=None,
-                  monic=False, minus_roots=None) -> Mat:
-    """That(sign)(x; u) as one dense matrix: the product of lifted factors."""
-    facs, dims = hatted_factors(chain, sign, x, uvec, coincident_slot, monic,
-                                minus_roots)
-    out = None
-    for op, legs in facs:
-        fac = lift(op, legs, dims)
-        out = fac if out is None else out @ fac
-    return out
+def hatted_braid_factors(chain: Chain, aux, sign, x, uvec, minus_roots=None):
+    """The factors of That(sign)(x; u) for a braid on [aux 0, aux 1, duals,
+    minuses, W]: the auxiliary leg goes to `aux`, the Vhat legs shift by
+    one."""
+    facs, _ = hatted_factors(chain, sign, x, uvec, minus_roots=minus_roots)
+    return [(op, [aux if leg == 0 else leg + 1 for leg in legs])
+            for op, legs in facs]
 
 
 def hatted_apply(chain: Chain, sign, x, uvec, vec, coincident_slot=None,
@@ -259,10 +258,7 @@ def hatted_apply(chain: Chain, sign, x, uvec, vec, coincident_slot=None,
     factor at a time, right to left."""
     facs, dims = hatted_factors(chain, sign, x, uvec, coincident_slot, monic,
                                 minus_roots)
-    cur = vec
-    for op, legs in reversed(facs):
-        cur = apply_on_legs(op, legs, dims, cur)
-    return cur
+    return apply_on_legs(facs, dims, vec)
 
 
 def hatted_block_apply(chain: Chain, sign, ik, x, uvec, vec,
@@ -352,11 +348,13 @@ def multi_exchange_residual(chain: Chain, sign, x, uvec):
     vals = tuple(uvec)
     N = len(vals)
     u = RootSet(vals)
+    dims = _hat_dims(chain, 2 * N)
+    one = Mat.identity(prod(dims), chain.backend)
     std_args = [(j, vals[j]) for j in range(N)]
     p_std = pairing_matrix(chain, std_args, n_aux=1)
     lhs = aux_matrix(chain, x, BLOCK_SECTORS[sign]) @ p_std
     coeff = F_left(u, x) if sign == "+" else F_right(x, u)
-    rhs = (p_std @ hatted_matrix(chain, sign, x, vals)).scale(coeff)
+    rhs = (p_std @ hatted_apply(chain, sign, x, vals, one)).scale(coeff)
     for k in range(N):
         rest = u.removing(k)
         if sign == "+":
@@ -365,27 +363,15 @@ def multi_exchange_residual(chain: Chain, sign, x, uvec):
             c = g(x, vals[k]) * F_right(vals[k], rest)
         args_k = [(k, x)] + [(j, vals[j]) for j in range(N) if j != k]
         p_k = pairing_matrix(chain, args_k, n_aux=1)
-        chain_op = _reorder_chain(chain, vals, k) @ hatted_matrix(
-            chain, sign, vals[k], vals, coincident_slot=k)
+        # (R*)(u_k,u_1)...(R*)(u_k,u_{k-1}) R(--)(u_1,u_k)...R(--)(u_{k-1},u_k)
+        reorder = ([(build_dual_pp(vals[k], vals[j]).mat, [1 + k, 1 + j])
+                    for j in range(k)]
+                   + [(build_block_r("-", "-", vals[j], vals[k]).mat,
+                       [1 + N + j, 1 + N + k]) for j in range(k)])
+        chain_op = apply_on_legs(reorder, dims, hatted_apply(
+            chain, sign, vals[k], vals, one, coincident_slot=k))
         rhs = rhs - (p_k @ chain_op).scale(c)
     return residual(lhs, rhs)
-
-
-def _reorder_chain(chain: Chain, vals, k):
-    """(R*)(u_k,u_1)...(R*)(u_k,u_{k-1}) R(--)(u_1,u_k)...R(--)(u_{k-1},u_k)."""
-    N = len(vals)
-    dims = _hat_dims(chain, 2 * N)
-    dim_tot = 1
-    for d in dims:
-        dim_tot *= d
-    out = Mat.identity(dim_tot, chain.backend)
-    for j in range(k):
-        out = out @ lift(build_dual_pp(vals[k], vals[j]).mat,
-                         [1 + k, 1 + j], dims)
-    for j in range(k):
-        out = out @ lift(build_block_r("-", "-", vals[j], vals[k]).mat,
-                         [1 + N + j, 1 + N + k], dims)
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -402,12 +388,11 @@ def dressed_rtt_residual(chain: Chain, eps0, eps0p, x, y, uvec):
     """RTT of the dressed monodromies against the sign-block R, on Vhat."""
     vals = tuple(uvec)
     N = len(vals)
-    inner_legs = list(range(2, 3 + 2 * N))
     return braid_residual(
         [2, 2] + [2] * (2 * N) + [chain.dim],
-        (build_block_r(eps0, eps0p, x, y).mat, [0, 1]),
-        (hatted_matrix(chain, eps0, x, vals), [0] + inner_legs),
-        (hatted_matrix(chain, eps0p, y, vals), [1] + inner_legs),
+        [(build_block_r(eps0, eps0p, x, y).mat, [0, 1])],
+        hatted_braid_factors(chain, 0, eps0, x, vals),
+        hatted_braid_factors(chain, 1, eps0p, y, vals),
         Mat.identity(4, chain.backend).kron(w0hat_columns(chain, N)))
 
 

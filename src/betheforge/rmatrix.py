@@ -27,8 +27,7 @@ from math import lcm
 
 import numpy as np
 
-from .linalg import (EXACT, FLOAT, Mat, braid_residual, lift, residual,
-                     swap_mat)
+from .linalg import EXACT, FLOAT, Mat, apply_on_legs, braid_residual, residual
 from .scalars import PoleError, f, g, h, is_exact, k
 
 
@@ -287,17 +286,19 @@ _BUILDERS = {
 def check_ybe(kind, x, y, z):
     """Max-abs residual of R12(x,y) R13(x,z) R23(y,z) - R23 R13 R12."""
     build, d = _BUILDERS[kind]
-    return braid_residual([d, d, d], (build(x, y).mat, [0, 1]),
-                          (build(x, z).mat, [0, 2]), (build(y, z).mat, [1, 2]))
+    return braid_residual([d, d, d], [(build(x, y).mat, [0, 1])],
+                          [(build(x, z).mat, [0, 2])],
+                          [(build(y, z).mat, [1, 2])])
 
 
 def check_unitarity(kind, x, y):
-    """Max-abs residual of R12(x,y) R21(y,x) - I."""
+    """Max-abs residual of R12(x,y) R21(y,x) - I, with R21 the R-matrix on
+    the legs in reverse order."""
     build, d = _BUILDERS[kind]
-    backend = _backend_of(x)
-    s = swap_mat(d, d, backend)
-    prod = build(x, y).mat @ (s @ build(y, x).mat @ s)
-    return residual(prod, Mat.identity(d * d, backend))
+    one = Mat.identity(d * d, _backend_of(x))
+    prod = apply_on_legs([(build(x, y).mat, [0, 1]), (build(y, x).mat, [1, 0])],
+                         [d, d], one)
+    return residual(prod, one)
 
 
 def mixed_ybe_residual(eps1, eps2, x, y, z):
@@ -307,9 +308,9 @@ def mixed_ybe_residual(eps1, eps2, x, y, z):
       = Rhat^(e2,+)_23*(y,z) Rhat^(e1,+)_13*(x,z) R^(e1,e2)_12(x,y).
     """
     return braid_residual([2, 2, 2],
-                          (build_block_r(eps1, eps2, x, y).mat, [0, 1]),
-                          (build_hatted_r(eps1, x, z).mat, [0, 2]),
-                          (build_hatted_r(eps2, y, z).mat, [1, 2]))
+                          [(build_block_r(eps1, eps2, x, y).mat, [0, 1])],
+                          [(build_hatted_r(eps1, x, z).mat, [0, 2])],
+                          [(build_hatted_r(eps2, y, z).mat, [1, 2])])
 
 
 def dual_reorder_residuals(u1, u2):
@@ -320,24 +321,25 @@ def dual_reorder_residuals(u1, u2):
     """
     backend = _backend_of(u1)
     dims = [2, 2, 2]
-    rs = (build_dual_pp(u2, u1).mat, [2, 1])
-    rmm = (build_block_r("-", "-", u1, u2).mat, [1, 2])
+    rs = [(build_dual_pp(u2, u1).mat, [2, 1])]
+    rmm = [(build_block_r("-", "-", u1, u2).mat, [1, 2])]
     triples = (
         # plus-aux against two dual legs
-        (rs, (build_hatted_r("+", u2, u1).mat, [0, 1]),
-         (coincident_hatted_r("+", backend).mat, [0, 2])),
+        (rs, [(build_hatted_r("+", u2, u1).mat, [0, 1])],
+         [(coincident_hatted_r("+", backend).mat, [0, 2])]),
         # plus-aux against two minus legs
-        (rmm, (coincident_block_r("+", "-", backend).mat, [0, 2]),
-         (build_block_r("+", "-", u2, u1).mat, [0, 1])),
+        (rmm, [(coincident_block_r("+", "-", backend).mat, [0, 2])],
+         [(build_block_r("+", "-", u2, u1).mat, [0, 1])]),
         # minus-aux against two dual legs
-        (rs, (build_hatted_r("-", u2, u1).mat, [0, 1]),
-         (coincident_hatted_r("-", backend).mat, [0, 2])),
+        (rs, [(build_hatted_r("-", u2, u1).mat, [0, 1])],
+         [(coincident_hatted_r("-", backend).mat, [0, 2])]),
         # minus-aux against two minus legs
-        (rmm, (coincident_block_r("-", "-", backend).mat, [0, 2]),
-         (build_block_r("-", "-", u2, u1).mat, [0, 1])))
+        (rmm, [(coincident_block_r("-", "-", backend).mat, [0, 2])],
+         [(build_block_r("-", "-", u2, u1).mat, [0, 1])]))
     out = [braid_residual(dims, *ops) for ops in triples]
     # the first and last triple products collapse to their equal-argument factor
+    one = Mat.identity(8, backend)
     for ops, bare in ((triples[0], 2), (triples[3], 1)):
-        lifted = [lift(op, legs, dims) for op, legs in ops]
-        out.append(residual(lifted[0] @ lifted[1] @ lifted[2], lifted[bare]))
+        out.append(residual(apply_on_legs(sum(ops, []), dims, one),
+                            apply_on_legs(ops[bare], dims, one)))
     return out

@@ -1,15 +1,21 @@
-"""Shared test settings and helpers.
+"""Shared test settings, helpers and dense oracles.
 
 Hypothesis runs derandomized, with no per-example deadline (exact rational
 arithmetic has no stable per-example time), few examples and no example
 database, so every run of the suite draws the same cases.
+
+The dense oracles write operators out as full matrices: `lifted_product`
+and `hatted_matrix` as products of `lift`s, which no package path uses,
+and `swap_matrix` entry by entry.  The leg-by-leg applications are held to them.
 """
 
 from fractions import Fraction as Fr
 
+import numpy as np
 from hypothesis import settings
 
-from betheforge.linalg import EXACT, Mat
+from betheforge.linalg import EXACT, Mat, lift
+from betheforge.nested_sp4 import hatted_factors
 
 settings.register_profile("betheforge", derandomize=True, deadline=None,
                           max_examples=15, database=None)
@@ -28,3 +34,27 @@ def rational_mat(rng, rows, cols):
     num = rng.integers(-3, 4, size=(rows, cols))
     return Mat.from_scalars([[Fr(int(v), int(rng.choice([1, 2, 3])))
                               for v in row] for row in num], EXACT)
+
+
+def swap_matrix(d1, d2, backend=EXACT):
+    """Exchange operator V1 (x) V2 -> V2 (x) V1."""
+    num = np.zeros((d1 * d2, d1 * d2), dtype=np.int64)
+    for a in range(d1):
+        for b in range(d2):
+            num[b * d1 + a, a * d2 + b] = 1
+    return Mat(backend, num)
+
+
+def lifted_product(factors, dims):
+    """A factor string as one dense matrix: the product of its lifts."""
+    out = lift(*factors[0], dims)
+    for op, legs in factors[1:]:
+        out = out @ lift(op, legs, dims)
+    return out
+
+
+def hatted_matrix(chain, sign, x, uvec, coincident_slot=None, monic=False,
+                  minus_roots=None):
+    """That(sign)(x; u) as one dense matrix: the lifted `hatted_factors`."""
+    return lifted_product(*hatted_factors(chain, sign, x, uvec,
+                                          coincident_slot, monic, minus_roots))

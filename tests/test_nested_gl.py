@@ -16,7 +16,7 @@ from betheforge.nested_gl import (gl2_eigenvalue,
                                   gl3_mu, gl3_residuals,
                                   gl3_vacuum_relation_residuals, gl3_vector)
 from betheforge.nested_sp4 import omega_hat, pairing_matrix
-from conftest import rational_mat
+from conftest import hatted_matrix, rational_mat
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,6 @@ def test_gl3_reduced_vacuum_relations(gl3_chain):
 @pytest.mark.parametrize("M", [0, 1, 2])
 def test_gl3_dressed_monodromy_is_the_plus_wing(gl3_chain, M):
     # That(x; v) = Rhat(+)(x, v_1) ... Rhat(+)(x, v_M) T(+)(x), written out
-    from betheforge.nested_sp4 import hatted_matrix
     from betheforge.rmatrix import build_hatted_r
     rng = np.random.default_rng(20 + M)
     *vvec, x, u = _clear_points(rng, M + 2)
@@ -116,7 +115,7 @@ def test_gl3_dressed_monodromy_is_the_plus_wing(gl3_chain, M):
 
 @pytest.mark.parametrize("M", [1, 2])
 def test_gl3_hatted_apply_is_the_dense_product(gl3_chain, M):
-    from betheforge.nested_sp4 import hatted_apply, hatted_matrix
+    from betheforge.nested_sp4 import hatted_apply
     rng = np.random.default_rng(30 + M)
     *vvec, x = _clear_points(rng, M + 1)
     vec = rational_mat(rng, 2 * 2 ** M * gl3_chain.dim, 2)

@@ -14,8 +14,7 @@ from betheforge.nested_sp4 import (BLOCK_SECTORS, Sp4BetheConfig,
                                    block_commutativity_residuals,
                                    block_rtt_residual,
                                    dressed_rtt_residual, hatted_apply,
-                                   hatted_block_apply, hatted_matrix,
-                                   mu_weight,
+                                   hatted_block_apply, mu_weight,
                                    multi_exchange_residual,
                                    offblock_annihilation_residual, omega_hat,
                                    pairing_matrix, prop_eigenvalue,
@@ -27,7 +26,7 @@ from betheforge.nested_sp4 import (BLOCK_SECTORS, Sp4BetheConfig,
                                    tilde_rtt_residual, tilde_state,
                                    w0_basis)
 from betheforge.scalars import F_left, PoleError, RootSet
-from conftest import block, rational_mat
+from conftest import block, hatted_matrix, rational_mat
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +136,23 @@ def test_b_exchange_identities(sp1, n):
                                        tuple(pts[:n])) == 0
 
 
+def test_b_string_reorderings_act_on_two_sites(sp2, monkeypatch):
+    # on one site both rules read 0 even with the R* and R(--) reorderings
+    # replaced by the identity; on two sites they hold, and fail without them
+    import betheforge.nested_sp4 as nested
+    rng = np.random.default_rng(39)
+    x, y, z = _pts(rng, 3)
+
+    def residuals():
+        return [b_reorder_residual(sp2, x, y),
+                multi_exchange_residual(sp2, "+", z, (x, y))]
+
+    assert residuals() == [0, 0]
+    bare = type("Bare", (), {"mat": Mat.identity(4, EXACT)})()
+    monkeypatch.setattr(nested, "build_dual_pp", lambda *a: bare)
+    assert all(r != 0 for r in residuals())
+
+
 # -- dressed level -------------------------------------------------------
 
 
@@ -161,15 +177,25 @@ def test_hatted_apply_is_the_dense_product(sp1, n, coincident_slot, monic):
                         hatted_matrix(*args, **kw) @ vec) == 0
 
 
+# the exact registry rows whose checks multiplied dense lifts before every
+# operator string went through apply_on_legs
+_ONCE_LIFTED = ("ybe.*", "unitarity.*", "mixed_ybe", "dual_reorder",
+                "rtt.*.L1", "gl3.dressed_rtt", "sp4.dressed_rtt.N1",
+                "sp4.b_exchange.N1", "sp4.b_reorder")
+
+
 def test_hatted_apply_path_builds_no_lift(sp1, monkeypatch):
-    import betheforge.linalg
-    import betheforge.nested_sp4
+    import sys
+    from fnmatch import fnmatch
+
+    from betheforge.harness import registry, run_case
 
     def no_lift(*args):
-        raise AssertionError("dense lift on the hatted_apply path")
+        raise AssertionError("dense lift on a package path")
 
-    monkeypatch.setattr(betheforge.nested_sp4, "lift", no_lift)
-    monkeypatch.setattr(betheforge.linalg, "lift", no_lift)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("betheforge") and hasattr(mod, "lift"):
+            monkeypatch.setattr(mod, "lift", no_lift)
     rng = np.random.default_rng(49)
     *uvec, x = _pts(rng, 3, taken=(Fr(0),))
     rs = reduced_vacuum_residuals(sp1, tuple(uvec), x)
@@ -177,6 +203,11 @@ def test_hatted_apply_path_builds_no_lift(sp1, monkeypatch):
     om = omega_hat(sp1, (0,) * 4)
     v = hatted_block_apply(sp1, "-", (1, 1), x, tuple(uvec), om)
     assert residual(v, om.scale(mu_weight(sp1, -1, x, uvec))) == 0
+    ids = [i for i in registry() if any(fnmatch(i, p) for p in _ONCE_LIFTED)]
+    assert len(ids) == 17
+    for ident in ids:
+        case = run_case(ident, 7, EXACT)
+        assert (case.status, case.residual) == ("pass", 0.0), ident
 
 
 @pytest.mark.parametrize("n", [1, 2])

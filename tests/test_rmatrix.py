@@ -15,6 +15,7 @@ from betheforge.rmatrix import (MINUS, PLUS, build_block_r,
                                 dual_reorder_residuals, mixed_ybe_residual,
                                 unit_E, unit_F)
 from betheforge.scalars import PoleError, f, g, h, k
+from conftest import swap_matrix
 
 
 def _rand_points(rng, n, taken=()):
@@ -188,8 +189,7 @@ def test_coincident_forms_match_explicit_sums():
     assert residual(hm, expect) == 0
     # same-sign coincident blocks are the exchange operators
     pp = coincident_block_r("+", "+", EXACT).mat
-    from betheforge.linalg import swap_mat
-    assert residual(pp, swap_mat(2, 2, EXACT)) == 0
+    assert residual(pp, swap_matrix(2, 2)) == 0
     # the coincident dual-dual matrix
     dp = coincident_dual_pp(EXACT).mat
     expect = Mat.zeros((4, 4), EXACT)
