@@ -11,8 +11,8 @@ judged on the scale-free relative residuals.
 
 Multiple random starts are drawn from a disc around the mean
 inhomogeneity, offset into the upper half plane; converged roots are
-deduplicated, and solutions with near-colliding roots inside one family
-or runaway magnitudes are rejected.
+deduplicated, each family compared as a multiset, and solutions with
+near-colliding roots inside one family or runaway magnitudes are rejected.
 
 A solution is verified against dense diagonalization of the transfer
 matrix restricted to the weight sector of its Bethe vector: the vector
@@ -285,14 +285,6 @@ def _newton(problem: SolveProblem, p0):
     return p, _rel_err(problem, p), problem.max_iter, cond
 
 
-def _canonical(roots):
-    out = []
-    for fam in ("u", "v", "w"):
-        for z in sorted(roots.get(fam, ()), key=lambda z: (z.real, z.imag)):
-            out.append(z)
-    return out
-
-
 def solve(problem: SolveProblem):
     """Multi-start damped Newton; deduplicated results sorted by residual."""
     n = problem.n_unknowns()
@@ -327,15 +319,17 @@ def solve(problem: SolveProblem):
     converged = [r for r in results if r.converged]
     deduped = []
     for r in sorted(converged, key=lambda r: (r.residual,
-                                              _sort_key(_canonical(r.roots)))):
+                                              _sort_key(r.roots))):
         if any(_same_roots(r.roots, d.roots) for d in deduped):
             continue
         deduped.append(r)
     return deduped
 
 
-def _sort_key(canon):
-    return tuple((z.real, z.imag) for z in canon)
+def _sort_key(roots):
+    """Each family's roots as sorted (real, imag) pairs, families in order."""
+    return tuple(sorted((z.real, z.imag) for z in roots.get(fam, ()))
+                 for fam in ("u", "v", "w"))
 
 
 def _touches_inhomogeneity(problem, vec):
@@ -353,14 +347,21 @@ def _family_collision(roots):
 
 
 def _same_roots(a, b):
-    for fam in ("u", "v", "w"):
-        va = sorted(a.get(fam, ()), key=lambda z: (z.real, z.imag))
-        vb = sorted(b.get(fam, ()), key=lambda z: (z.real, z.imag))
-        if len(va) != len(vb):
-            return False
-        if any(abs(x - y) > DEDUP_TOL for x, y in zip(va, vb)):
-            return False
-    return True
+    """Whether every family of `a` equals that of `b` as a multiset."""
+    return all(_pair_off(a.get(fam, ()), b.get(fam, ()))
+               for fam in ("u", "v", "w"))
+
+
+def _pair_off(va, vb):
+    """Whether the roots of `va` and `vb` pair off one to one, each pair
+    within DEDUP_TOL.  Sorting cannot decide this: the two roots of a
+    conjugate pair have equal real parts up to rounding, so two copies of
+    one configuration can sort in opposite orders."""
+    if len(va) != len(vb):
+        return False
+    return not va or any(abs(va[0] - y) <= DEDUP_TOL
+                         and _pair_off(va[1:], vb[:j] + vb[j + 1:])
+                         for j, y in enumerate(vb))
 
 
 def build_state(problem: SolveProblem, roots):

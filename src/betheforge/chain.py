@@ -7,20 +7,26 @@ and the vacuum is the unique repeated product basis vector annihilated by
 one triangular half of the entries.  Which half is model-dependent: the
 gl chains annihilate T^i_k for i > k, the symplectic chain for i < k;
 detection scans the model's own convention first and falls back to the
-other.  Weight functions lam_i(x) are never stored symbolically; they are
-read off by applying T^i_i(x) to the vacuum.
+other.
 
-The monodromy is built site by site, the way a matrix-product operator is
-applied: with R_j[a, k] the d x d block of R_{0,j}(x, z_j) on site j,
+The vacuum and the weights are read off the site R-matrices; no monodromy
+is built for them.  With R_j[a, k] the d x d block of R_{0,j}(x, z_j), the
+candidate e_c...e_c passes when on every site each wedge block kills e_c
+and each diagonal block keeps it on e_c.  A path of auxiliary values that
+leaves the diagonal then takes a wedge step and dies, so the wedge entries
+annihilate the vacuum and T^i_i multiplies it by lam_i(x) = prod_j
+R_j[i, i][c, c] (Kulish-Reshetikhin, J. Phys. A 16 (1983) L591).  R entries
+are combinations of 1, g and h, so three generic scan points decide it.
+
+The monodromy itself, which `transfer`, `aux_matrix`, the B-strings and the
+checks read, is built site by site as a matrix-product operator is applied:
 
     T^(j)[i, k] = sum_a T^(j-1)[i, a] (x) R_j[a, k],
 
-one kernel product per site whose inner index is the auxiliary value a, so
-a new x costs O(d^3 D^2) rather than the O((dD)^3) of multiplying dense
-(dD) x (dD) lifts.  The result is one (d, d, D, D) array, cached per x under
-a byte bound; the grid entries T^i_k(x) are read-only views into it, the
-transfer matrix is the sum of its diagonal blocks, and `aux_matrix` is a
-transpose and reshape of it.
+one kernel product per site, O(d^3 D^2) for a new x rather than the
+O((dD)^3) of dense lifts.  The result is one (d, d, D, D) array; the grid
+entries T^i_k(x) are read-only views into it.  Site R-matrices and
+monodromies are cached per chain under byte bounds.
 
 Every product basis state carries its Cartan weight (`Chain.cartan_weights`).
 The transfer matrix commutes with the weights, so it is block diagonal in the
@@ -44,11 +50,13 @@ SPECTRUM_CAPACITY = 256
 
 _Z_OFFSETS = (0, 1, -1, 3, -3)
 
-# Bytes of monodromy arrays one chain keeps cached; past it the least
-# recently used entries go.  It holds one sp4 L=4 float entry (16 MiB): a
-# Newton step revisits few x, and the weights have their own cache.  An
-# exact entry counts its references, not the Python ints behind them.
+# Bytes each per-chain cache keeps (an exact entry counts its references,
+# not the Python ints behind them).  The monodromies: one sp4 L=4 float
+# entry.  The site R-matrices: those of four x on the largest verifiable
+# float chain (sp4 L=4), so a Newton step's weights share their builds,
+# and a verify sample's weights share them with its monodromy.
 _MONO_CACHE_BYTES = 16 << 20
+_SITE_R_CACHE_BYTES = 64 << 10
 
 
 class NoVacuumError(Exception):
@@ -141,6 +149,28 @@ class _Grid(dict):
         self.den = den
 
 
+class _ByteCache(dict):
+    """Least-recently-used dict whose values, as `size` counts their bytes,
+    stay within the bound passed at each insert."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size, self.nbytes = size, 0
+
+    def hit(self, key):
+        """The value under `key`, now the most recently used, or None."""
+        value = self.pop(key, None)
+        if value is not None:
+            self[key] = value
+        return value
+
+    def put(self, key, value, bound):
+        self[key] = value
+        self.nbytes += self.size(value)
+        while self.nbytes > bound:
+            self.nbytes -= self.size(self.pop(next(iter(self))))
+
+
 class Chain:
     """A chain spec plus cached monodromies, vacuum and weights."""
 
@@ -150,17 +180,23 @@ class Chain:
         self.d = len(self.space)
         self.dim = self.d ** spec.length
         self.backend = spec.backend
-        self._mono_cache = {}
-        self._mono_bytes = 0
-        self._lam_cache = {}
+        self._mono_cache = _ByteCache(lambda grid: grid.num.nbytes)
+        self._site_cache = _ByteCache(lambda r: r.num.nbytes)
         self._vacuum = None
 
     # -- construction ---------------------------------------------------
 
     def site_r(self, x, z):
-        if self.spec.model == "sp4":
-            return build_sp4_r(x, z).mat
-        return build_gl_r(self.d, x, z).mat
+        """R_{0,j}(x, z) on [aux, site], read-only and cached per (x, z).
+        Monodromy misses, the weights and the vacuum test all read it."""
+        key = (x, z)
+        r = self._site_cache.hit(key)
+        if r is None:
+            r = (build_sp4_r(x, z) if self.spec.model == "sp4"
+                 else build_gl_r(self.d, x, z)).mat
+            r.num.flags.writeable = False
+            self._site_cache.put(key, r, _SITE_R_CACHE_BYTES)
+        return r
 
     def monodromy(self, x):
         """Grid {(i, k): Mat} of the auxiliary-leg blocks T^i_k(x).
@@ -172,9 +208,8 @@ class Chain:
         (d, d, D, D) array (exact entries over the common denominator
         `den`), and its entries are read-only views of the blocks num[a, b].
         """
-        cache = self._mono_cache
-        if x in cache:
-            grid = cache[x] = cache.pop(x)     # now the most recently used
+        grid = self._mono_cache.hit(x)
+        if grid is not None:
             return grid
         d, backend = self.d, self.backend
         num = den = amax = None
@@ -197,10 +232,7 @@ class Chain:
         for a, i in enumerate(self.space):
             for b, k in enumerate(self.space):
                 grid[(i, k)] = Mat(backend, num[a, b], den)
-        cache[x] = grid
-        self._mono_bytes += num.nbytes
-        while self._mono_bytes > _MONO_CACHE_BYTES:
-            self._mono_bytes -= cache.pop(next(iter(cache))).num.nbytes
+        self._mono_cache.put(x, grid, _MONO_CACHE_BYTES)
         return grid
 
     @cached_property
@@ -228,77 +260,69 @@ class Chain:
 
     def _scan_points(self, n=3):
         """Generic evaluation points clear of every inhomogeneity offset."""
+        exact = self.backend == EXACT
+        cand, step = ((Fraction(17, 5), Fraction(7, 4)) if exact
+                      else (complex(3.4), complex(1.75)))
         pts = []
-        cand = Fraction(17, 5) if self.backend == EXACT else complex(3.4)
-        step = Fraction(7, 4) if self.backend == EXACT else complex(1.75)
         while len(pts) < n:
-            ok = all(
-                all((cand - z) != off if self.backend == EXACT
-                    else abs(cand - z - off) > 1e-9 for off in _Z_OFFSETS)
-                for z in self.spec.inhomogeneities)
-            if ok:
+            if all(cand - z != off if exact else abs(cand - z - off) > 1e-9
+                   for z in self.spec.inhomogeneities for off in _Z_OFFSETS):
                 pts.append(cand)
             cand = cand + step
         return pts
 
     def _candidate_omega(self, value):
-        slot = self.space.index(value)
-        idx = 0
-        for _ in range(self.spec.length):
-            idx = idx * self.d + slot
+        """e_c...e_c, the basis state c (1 + d + ... + d^(L-1)) for slot c."""
+        idx = self.space.index(value) * (self.dim - 1) // (self.d - 1)
         return Mat.basis_vector(self.dim, idx, self.backend)
 
     def vacuum(self) -> VacuumData:
-        if self._vacuum is not None:
-            return self._vacuum
+        """The first candidate of `_vacuum_candidates`: the model's own
+        convention is scanned first, the local values in space order."""
+        if self._vacuum is None:
+            found = next(self._vacuum_candidates(), None)
+            if found is None:
+                raise NoVacuumError(f"no triangular vacuum for {self.spec}")
+            c, conv = found
+            self._vacuum = VacuumData(c, conv, self._candidate_omega(c),
+                                      self.space)
+        return self._vacuum
+
+    def _vacuum_candidates(self):
+        """Every (value c, convention) whose e_c...e_c passes the site-local
+        test of the module docstring, in scan order."""
+        d = self.d
+        # [r, a, k, s, t]: entry R[(a, s), (k, t)] of the r-th site R (every
+        # site at every scan point) is nonzero, so R_j[a, k] e_c is [..., c]
+        reach = np.stack([
+            self.site_r(x, z).num.reshape(d, d, d, d) != 0
+            for x in self._scan_points() for z in self.spec.inhomogeneities]
+        ).transpose(0, 1, 3, 2, 4)
+        diag = np.arange(d)
+        upper = np.less.outer(diag, diag)      # slot order is value order
         primary = _PRIMARY_CONVENTION[self.spec.model]
-        other = "i>k" if primary == "i<k" else "i<k"
-        pts = self._scan_points()
-        for conv in (primary, other):
-            for c in self.space:
-                omega = self._candidate_omega(c)
-                if self._is_vacuum(omega, conv, pts):
-                    self._vacuum = VacuumData(c, conv, omega, self.space)
-                    return self._vacuum
-        raise NoVacuumError(f"no triangular vacuum for {self.spec}")
-
-    def _is_vacuum(self, omega, conv, pts):
-        sp = self.space
-        pairs = [(i, k) for i in sp for k in sp
-                 if (i < k if conv == "i<k" else i > k)]
-        for x in pts:
-            grid = self.monodromy(x)
-            for (i, k) in pairs:
-                if not (grid[(i, k)] @ omega).is_zero():
-                    return False
-            for i in sp:
-                if not self._proportional(grid[(i, i)] @ omega, omega):
-                    return False
-        return True
-
-    def _proportional(self, v, omega):
-        slot = int(np.argmax(np.abs(omega.to_complex()[:, 0])))
-        if self.backend == EXACT:
-            coeff = v.entry(slot, 0)
-            return (v - omega.scale(coeff)).is_zero()
-        coeff = v.num[slot, 0]
-        return bool(np.all(np.abs(v.num[:, 0] - coeff * omega.num[:, 0]) < 1e-10))
+        for conv in (primary, "i>k" if primary == "i<k" else "i<k"):
+            wedge = upper if conv == "i<k" else upper.T
+            for slot, c in enumerate(self.space):
+                leaves = reach[:, diag, diag, :, slot][..., diag != slot]
+                if not (reach[:, wedge, :, slot].any() or leaves.any()):
+                    yield c, conv
 
     def lam(self, i, x):
-        """Weight function lam_i(x), read off the vacuum application."""
-        key = (i, x)
-        if key in self._lam_cache:
-            return self._lam_cache[key]
-        vac = self.vacuum()
-        v = self.t(i, i, x) @ vac.omega
-        slot = int(np.argmax(np.abs(vac.omega.to_complex()[:, 0])))
-        coeff = v.entry(slot, 0)
-        if not self._proportional(v, vac.omega):
-            raise NoVacuumError(f"T^{i}_{i} does not act diagonally on the vacuum")
-        if len(self._lam_cache) > 4096:
-            self._lam_cache.clear()
-        self._lam_cache[key] = coeff
-        return coeff
+        """Weight function lam_i(x) = prod_j R_j[i, i][c, c] on the vacuum
+        e_c...e_c.
+
+        The entries are multiplied in site order, from site 1's, as the
+        block recursion multiplies them, so a float weight is the same
+        double as the grid read-off of T^i_i(x) on the vacuum.
+        """
+        c = self.space.index(self.vacuum().local_value)
+        n = self.space.index(i) * self.d + c          # R[(i, c), (i, c)]
+        weight = None
+        for z in self.spec.inhomogeneities:
+            entry = self.site_r(x, z).entry(n, n)
+            weight = entry if weight is None else weight * entry
+        return weight
 
 
 def check_rtt(chain: Chain, x, y):

@@ -66,19 +66,6 @@ class Mat:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_scalars(rows, backend):
-        """Build from a nested sequence of Fractions/ints (exact) or numbers (float)."""
-        if backend == FLOAT:
-            return Mat(FLOAT, np.array(rows, dtype=np.complex128))
-        fr = [[Fraction(x) for x in row] for row in rows]
-        den = 1
-        for row in fr:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        num = np.array([[int(x * den) for x in row] for row in fr], dtype=object)
-        return Mat(EXACT, num, den)._reduced()
-
-    @staticmethod
     def zeros(shape, backend):
         if backend == FLOAT:
             return Mat(FLOAT, np.zeros(shape, dtype=np.complex128))
@@ -137,9 +124,6 @@ class Mat:
             self._amax = a // g
         return self
 
-    def copy(self):
-        return Mat(self.backend, self.num.copy(), self.den, amax=self._amax)
-
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other):
@@ -189,10 +173,6 @@ class Mat:
             amax = self._amax * other._amax
         return Mat(EXACT, np.kron(self.num, other.num), self.den * other.den,
                    amax=amax)._reduced()
-
-    def transpose(self):
-        return Mat(self.backend, self.num.T.copy(), self.den,
-                   amax=self._amax if self.backend == EXACT else None)
 
     # -- inspection ----------------------------------------------------
 

@@ -216,15 +216,6 @@ def build_dual_pp(x, y):
     return ROperator(m)
 
 
-def coincident_dual_pp(backend):
-    """Equal-argument dual-dual specialization sum F^i_k (x) F^k_i."""
-    m = Mat.zeros((4, 4), backend)
-    for i in (1, 2):
-        for kk in (1, 2):
-            m = m + unit_F(PLUS, i, kk, backend).kron(unit_F(PLUS, kk, i, backend))
-    return ROperator(m)
-
-
 def build_hatted_r(sign, x, u, monic=False):
     """Block-leg/dual-leg dressing matrices.
 

@@ -180,7 +180,7 @@ def sum_identity_residuals(roots, x, y):
     return abs(lhs1 - rhs1), abs(lhs2 - rhs2)
 
 
-# -- serialization ------------------------------------------------------
+# -- parsing ------------------------------------------------------------
 
 
 def parse_scalar(text, backend="exact"):
@@ -194,12 +194,3 @@ def parse_scalar(text, backend="exact"):
         return complex(s[:-1] + "j")
     return complex(Fraction(s))
 
-
-def format_scalar(x):
-    """Serialize: Fractions as "p/q" strings, complex as [re, im]."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    z = complex(x)
-    return [z.real, z.imag]

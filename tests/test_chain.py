@@ -1,5 +1,7 @@
-"""Fundamental chains: monodromy construction, vacuum detection, weight
-functions, RTT/commutation residuals and the dense-diagonalization oracle."""
+"""Fundamental chains: monodromy construction, vacuum detection and weight
+functions (read off the site R-matrices, held to the monodromy grid), the
+byte-bounded caches, RTT/commutation residuals and the dense-diagonalization
+oracle."""
 
 from fractions import Fraction as Fr
 
@@ -8,13 +10,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from betheforge import chain as chain_mod
-from betheforge.chain import (CapacityError, Chain, ChainSpec, aux_matrix,
-                              chain_spec_from_dict, check_commuting,
-                              check_rtt, default_inhomogeneities, spectrum)
+from betheforge.chain import (CapacityError, Chain, ChainSpec, NoVacuumError,
+                              aux_matrix, chain_spec_from_dict,
+                              check_commuting, check_rtt,
+                              default_inhomogeneities, spectrum)
 from betheforge.linalg import _INT64_SAFE, EXACT, FLOAT, Mat, lift, residual
 from betheforge.rmatrix import build_gl_r
 from betheforge.scalars import PoleError, f, h
-from conftest import block
+from conftest import block, grid_weights
 
 
 def _chain(model, length, backend=EXACT):
@@ -201,7 +204,7 @@ def test_monodromy_cache_is_bounded_in_bytes(monkeypatch):
 
     def held():
         total = sum(g.num.nbytes for g in ch._mono_cache.values())
-        assert total == ch._mono_bytes <= 3 * entry
+        assert total == ch._mono_cache.nbytes <= 3 * entry
         return list(ch._mono_cache)
 
     for n, x in enumerate(xs[:5]):
@@ -263,6 +266,186 @@ def test_weight_functions_against_product_formulas():
     for z in zs:
         lam_m2 *= (1 - h(x, z)) / f(x, z)
     assert chs.lam(-2, x) == lam_m2
+
+
+# -- weights and vacuum read off the site R-matrices ------------------------
+
+
+def _off_poles(x, zs):
+    return all((x - z).denominator > 1 or abs(x - z) > 3 for z in zs)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("model", ["gl2", "gl3", "sp4"])
+def test_site_weights_are_the_grid_read_off(model, length):
+    zs = default_inhomogeneities(length)
+
+    @settings(max_examples=5)
+    @given(x=_rational, re=st.floats(-4, 4), im=st.floats(-2, 2))
+    def check(x, re, im):
+        assume(_off_poles(x, zs))
+        ch = _chain(model, length)
+        got = [ch.lam(i, x) for i in ch.space]
+        assert all(type(w) is Fr for w in got)
+        assert got == grid_weights(_chain(model, length), x)
+        y = complex(re, im)
+        assume(all(abs(y - complex(z) - off) > 1e-6
+                   for z in zs for off in chain_mod._Z_OFFSETS))
+        ch = _chain(model, length, FLOAT)
+        got = [ch.lam(i, y) for i in ch.space]
+        assert all(type(w) is complex for w in got)
+        oracle = grid_weights(_chain(model, length, FLOAT), y)
+        assert _bits(got) == _bits(oracle)
+
+    check()
+
+
+@pytest.mark.parametrize("model,length", [("gl2", 8), ("gl3", 5), ("sp4", 4)])
+def test_site_weights_at_capacity_are_the_grid_read_off(model, length):
+    rng = np.random.default_rng(5)
+    for x in [complex(3.4, 0.3)] + [complex(*rng.uniform(-2, 2, 2))
+                                    for _ in range(3)]:
+        ch = _chain(model, length, FLOAT)
+        got = [ch.lam(i, x) for i in ch.space]
+        assert _bits(got) == _bits(grid_weights(ch, x))
+
+
+def _grid_candidates(ch):
+    """Oracle: the (value, convention) pairs the monodromy grid accepts, in
+    scan order: at the three scan points the wedge entries annihilate the
+    candidate and the diagonal ones act on it by a scalar."""
+    primary = chain_mod._PRIMARY_CONVENTION[ch.spec.model]
+    out = []
+    for conv in (primary, "i>k" if primary == "i<k" else "i<k"):
+        wedge = [(i, k) for i in ch.space for k in ch.space
+                 if (i < k if conv == "i<k" else i > k)]
+        for c in ch.space:
+            omega = ch._candidate_omega(c)
+            slot = int(np.argmax(np.abs(omega.to_complex()[:, 0])))
+            ok = True
+            for x in ch._scan_points():
+                grid = ch.monodromy(x)
+                ok &= all((grid[p] @ omega).is_zero() for p in wedge)
+                for i in ch.space:
+                    v = (grid[(i, i)] @ omega).to_complex()[:, 0]
+                    ok &= bool(np.abs(v - v[slot] * omega.to_complex()[:, 0])
+                               .max() < 1e-10)
+            if ok:
+                out.append((c, conv))
+    return out
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("model", ["gl2", "gl3", "sp4"])
+def test_site_vacuum_test_agrees_with_grid_scan(model, length, backend):
+    ch = _chain(model, length, backend)
+    found = list(ch._vacuum_candidates())
+    assert found == _grid_candidates(ch)
+    # a highest-weight vacuum under one wedge, a lowest under the other
+    assert len(found) == 2
+    assert found[0][1] == chain_mod._PRIMARY_CONVENTION[model]
+    vac = ch.vacuum()
+    assert (vac.local_value, vac.convention) == found[0]
+
+
+def _with_extra_entries(model, entries):
+    """A two-site chain whose site R-matrices carry one extra nonzero entry
+    R[(a, s), (k, t)] for each tuple of slots (a, s, k, t) given."""
+    ch = _chain(model, 2)
+    plain, d = ch.site_r, ch.d
+
+    def site_r(x, z):
+        r = plain(x, z)
+        num = r.num.copy()
+        for a, s, k, t in entries:
+            num[a * d + s, k * d + t] += r.den
+        return Mat(EXACT, num, r.den)
+
+    ch.site_r = site_r
+    return ch
+
+
+def _wedge_entry(model, c, conv):
+    """An entry in a wedge block of `conv`, applied to e_c."""
+    space = chain_mod._MODEL_SPACE[model]
+    t, last = space.index(c), len(space) - 1
+    return (last, t, 0, t) if conv == "i>k" else (0, t, last, t)
+
+
+@pytest.mark.parametrize("model", ["gl2", "gl3", "sp4"])
+def test_wedge_entry_in_a_site_r_rejects_its_vacuum(model):
+    first, second = _chain(model, 2)._vacuum_candidates()
+    # one wedge entry on the model's own vacuum: detection falls back
+    ch = _with_extra_entries(model, [_wedge_entry(model, *first)])
+    assert list(ch._vacuum_candidates()) == _grid_candidates(ch) == [second]
+    # one on each of the two: no vacuum
+    ch = _with_extra_entries(model, [_wedge_entry(model, *first),
+                                     _wedge_entry(model, *second)])
+    assert _grid_candidates(ch) == []
+    with pytest.raises(NoVacuumError):
+        ch.vacuum()
+
+
+@pytest.mark.parametrize("model", ["gl2", "gl3", "sp4"])
+def test_diagonal_block_leaving_the_vacuum_rejects_it(model):
+    first, second = _chain(model, 2)._vacuum_candidates()
+    t = chain_mod._MODEL_SPACE[model].index(first[0])
+    for a in range(len(chain_mod._MODEL_SPACE[model])):
+        # R_j[a, a] e_c gains a component off e_c
+        ch = _with_extra_entries(model, [(a, 1 - min(t, 1), a, t)])
+        assert list(ch._vacuum_candidates()) == _grid_candidates(ch) \
+            == [second]
+
+
+def test_weights_and_vacuum_build_no_monodromy(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("a monodromy was built")
+
+    monkeypatch.setattr(Chain, "monodromy", refuse)
+    for model in ("gl2", "gl3", "sp4"):
+        for backend in (EXACT, FLOAT):
+            ch = _chain(model, 3, backend)
+            ch.vacuum()
+            x = Fr(13, 4) if backend == EXACT else complex(3.25, 0.5)
+            assert len({ch.lam(i, x) for i in ch.space}) > 1
+
+
+def test_weights_and_monodromy_share_site_r_builds(monkeypatch):
+    built = []
+    plain = chain_mod.build_sp4_r
+    monkeypatch.setattr(chain_mod, "build_sp4_r",
+                        lambda x, z: built.append((x, z)) or plain(x, z))
+    ch = _chain("sp4", 3, FLOAT)
+    ch.vacuum()
+    built.clear()
+    x = complex(1.3, 0.7)
+    ch.lam(1, x)
+    ch.transfer(x)
+    ch.lam(-2, x)
+    assert built == [(x, z) for z in ch.spec.inhomogeneities]
+
+
+def test_site_r_cache_is_bounded_in_bytes(monkeypatch):
+    r_bytes = _chain("sp4", 2, FLOAT).site_r(complex(9), 0j).num.nbytes
+    monkeypatch.setattr(chain_mod, "_SITE_R_CACHE_BYTES", 5 * r_bytes)
+    ch = _chain("sp4", 2, FLOAT)
+    for n in range(8):
+        x = complex(4 + n, 0.5)
+        ch.lam(1, x)
+        ch.transfer(x)
+        cache = ch._site_cache
+        assert cache.nbytes == sum(map(cache.size, cache.values())) \
+            <= 5 * r_bytes
+        assert not ch.site_r(x, 0j).num.flags.writeable
+    assert len(ch._site_cache) == 5
+    # the most recently used stay; the read-only check made (x, 0) the newest
+    assert list(ch._site_cache)[-2:] == [(complex(11, 0.5), 0.5 + 0j),
+                                         (complex(11, 0.5), 0j)]
 
 
 @pytest.mark.parametrize("model,length", [("gl2", 1), ("gl2", 2), ("gl3", 1),

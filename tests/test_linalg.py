@@ -14,11 +14,12 @@ from hypothesis import given, strategies as st
 import betheforge
 from betheforge.linalg import EXACT, FLOAT, Mat, apply_on_legs, \
     braid_residual, hstack, lift, residual, rref_basis
-from conftest import lifted_product, rational_mat, swap_matrix
+from conftest import lifted_product, mat_from_scalars, rational_mat, \
+    swap_matrix, transposed
 
 
 def test_exact_construction_and_entries():
-    m = Mat.from_scalars([[Fr(1, 2), Fr(1, 3)], [0, Fr(-5, 6)]], EXACT)
+    m = mat_from_scalars([[Fr(1, 2), Fr(1, 3)], [0, Fr(-5, 6)]], EXACT)
     assert m.den == 6
     assert m.entry(0, 0) == Fr(1, 2)
     assert m.entry(1, 1) == Fr(-5, 6)
@@ -26,8 +27,8 @@ def test_exact_construction_and_entries():
 
 
 def test_exact_matmul_reduces():
-    a = Mat.from_scalars([[Fr(1, 2), 0], [0, Fr(1, 2)]], EXACT)
-    b = Mat.from_scalars([[2, 0], [0, 2]], EXACT)
+    a = mat_from_scalars([[Fr(1, 2), 0], [0, Fr(1, 2)]], EXACT)
+    b = mat_from_scalars([[2, 0], [0, 2]], EXACT)
     c = a @ b
     assert c.den == 1
     assert c.entry(0, 0) == 1
@@ -35,7 +36,7 @@ def test_exact_matmul_reduces():
 
 def test_bigint_fallback_is_exact():
     big = 2 ** 40
-    a = Mat.from_scalars([[big, 1], [0, big]], EXACT)
+    a = mat_from_scalars([[big, 1], [0, big]], EXACT)
     c = a @ a @ a  # entries ~ 2^120, far beyond int64
     assert c.entry(0, 0) == Fr(big) ** 3
     assert c.entry(0, 1) == 3 * Fr(big) ** 2
@@ -58,21 +59,21 @@ def test_cached_amax_of_a_product_is_its_largest_numerator(seed, big):
 
 def test_zero_operand_times_bigint_is_zero():
     # the product bound is 0, but the partner does not fit in int64
-    big = Mat.from_scalars([[5 ** 30, 1], [2, 3]], EXACT)
+    big = mat_from_scalars([[5 ** 30, 1], [2, 3]], EXACT)
     zero = Mat.zeros((2, 3), EXACT)
-    for c in (big @ zero, zero.transpose() @ big):
+    for c in (big @ zero, transposed(zero) @ big):
         assert c.is_zero() and c.amax() == 0 and c.den == 1
 
 
 def test_add_aligns_denominators():
-    a = Mat.from_scalars([[Fr(1, 2)]], EXACT)
-    b = Mat.from_scalars([[Fr(1, 3)]], EXACT)
+    a = mat_from_scalars([[Fr(1, 2)]], EXACT)
+    b = mat_from_scalars([[Fr(1, 3)]], EXACT)
     assert (a + b).entry(0, 0) == Fr(5, 6)
     assert (a - b).entry(0, 0) == Fr(1, 6)
 
 
 def test_scale_and_kron():
-    a = Mat.from_scalars([[1, 2], [3, 4]], EXACT)
+    a = mat_from_scalars([[1, 2], [3, 4]], EXACT)
     assert a.scale(Fr(1, 2)).entry(1, 0) == Fr(3, 2)
     k = a.kron(Mat.identity(2, EXACT))
     assert k.shape == (4, 4)
@@ -80,14 +81,14 @@ def test_scale_and_kron():
 
 
 def test_lift_places_operator_on_legs():
-    x = Mat.from_scalars([[0, 1], [1, 0]], EXACT)
+    x = mat_from_scalars([[0, 1], [1, 0]], EXACT)
     dims = [2, 2, 2]
     full = lift(x, [1], dims)
     v = Mat.basis_vector(8, 0, EXACT)       # |000>
     w = full @ v
     assert w.entry(2, 0) == 1                # |010>
     # two-leg placement in swapped order
-    cnotish = Mat.from_scalars(
+    cnotish = mat_from_scalars(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], EXACT)
     f01 = lift(cnotish, [0, 1], dims)
     f10 = lift(cnotish, [1, 0], dims)
@@ -100,32 +101,32 @@ def test_lift_places_operator_on_legs():
 def test_swap_mat():
     # the exchange oracle of the tests
     s = swap_matrix(2, 3)
-    a = Mat.from_scalars([[1], [2]], EXACT)
-    b = Mat.from_scalars([[5], [6], [7]], EXACT)
+    a = mat_from_scalars([[1], [2]], EXACT)
+    b = mat_from_scalars([[5], [6], [7]], EXACT)
     assert residual(s @ a.kron(b), b.kron(a)) == 0
 
 
 def test_float_backend_matmul():
-    a = Mat.from_scalars([[1 + 1j, 0], [0, 2]], FLOAT)
+    a = mat_from_scalars([[1 + 1j, 0], [0, 2]], FLOAT)
     c = a @ a
     assert abs(c.entry(0, 0) - (1 + 1j) ** 2) < 1e-15
     assert a.norm() == pytest.approx(np.sqrt(abs(1 + 1j) ** 2 + 4))
 
 
 def test_rref_basis_exact_and_float():
-    v1 = Mat.from_scalars([[1], [0], [1]], EXACT)
-    v2 = Mat.from_scalars([[2], [0], [2]], EXACT)
-    v3 = Mat.from_scalars([[0], [1], [0]], EXACT)
+    v1 = mat_from_scalars([[1], [0], [1]], EXACT)
+    v2 = mat_from_scalars([[2], [0], [2]], EXACT)
+    v3 = mat_from_scalars([[0], [1], [0]], EXACT)
     assert rref_basis([v1, v2, v3]) == [0, 2]
-    f1 = Mat.from_scalars([[1], [0]], FLOAT)
-    f2 = Mat.from_scalars([[1], [1e-12]], FLOAT)
-    f3 = Mat.from_scalars([[0], [1]], FLOAT)
+    f1 = mat_from_scalars([[1], [0]], FLOAT)
+    f2 = mat_from_scalars([[1], [1e-12]], FLOAT)
+    f3 = mat_from_scalars([[0], [1]], FLOAT)
     assert rref_basis([f1, f2, f3]) == [0, 2]
 
 
 def test_hstack():
-    a = Mat.from_scalars([[Fr(1, 2)], [0]], EXACT)
-    b = Mat.from_scalars([[0], [Fr(1, 3)]], EXACT)
+    a = mat_from_scalars([[Fr(1, 2)], [0]], EXACT)
+    b = mat_from_scalars([[0], [Fr(1, 3)]], EXACT)
     h = hstack([a, b])
     assert h.shape == (2, 2)
     assert h.entry(0, 0) == Fr(1, 2)
@@ -233,8 +234,8 @@ def test_braid_residual_matches_written_out_lift_products(case):
 
 def test_braid_residual_of_non_commuting_factors_is_nonzero():
     # A B C - C B A = [s, t] (x) 1 on two qubits, with [s, t] = diag(1, -1)
-    s = [(Mat.from_scalars([[0, 1], [0, 0]], EXACT), [0])]
-    t = [(Mat.from_scalars([[0, 0], [1, 0]], EXACT), [0])]
+    s = [(mat_from_scalars([[0, 1], [0, 0]], EXACT), [0])]
+    t = [(mat_from_scalars([[0, 0], [1, 0]], EXACT), [0])]
     one = [(Mat.identity(2, EXACT), [1])]
     assert braid_residual([2, 2], s, t, one) == 1
     assert braid_residual([2, 2], s, t, one,

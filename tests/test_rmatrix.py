@@ -11,11 +11,11 @@ from betheforge.rmatrix import (MINUS, PLUS, build_block_r,
                                 build_dual_pp, build_gl_r, build_hatted_r,
                                 build_sp4_r, build_tilde_r, check_unitarity,
                                 check_ybe, coincident_block_r,
-                                coincident_dual_pp, coincident_hatted_r,
+                                coincident_hatted_r,
                                 dual_reorder_residuals, mixed_ybe_residual,
                                 unit_E, unit_F)
 from betheforge.scalars import PoleError, f, g, h, k
-from conftest import swap_matrix
+from conftest import mat_from_scalars, swap_matrix, transposed
 
 
 def _rand_points(rng, n, taken=()):
@@ -36,7 +36,7 @@ def test_gl2_r_frozen_matrix():
               [0, Fr(2, 3), Fr(1, 3), 0],
               [0, Fr(1, 3), Fr(2, 3), 0],
               [0, 0, 0, 1]]
-    assert residual(r.mat, Mat.from_scalars(expect, EXACT)) == 0
+    assert residual(r.mat, mat_from_scalars(expect, EXACT)) == 0
     with pytest.raises(PoleError):
         build_gl_r(2, Fr(1), Fr(1))
 
@@ -138,7 +138,7 @@ def test_dual_pairing_definition():
         for b in (1, 2):
             e = unit_E(PLUS, a, b, EXACT)
             fm = unit_F(PLUS, a, b, EXACT)
-            assert residual(e.transpose(), fm) == 0
+            assert residual(transposed(e), fm) == 0
 
 
 def test_hatted_r_prefactor_example():
@@ -190,14 +190,17 @@ def test_coincident_forms_match_explicit_sums():
     # same-sign coincident blocks are the exchange operators
     pp = coincident_block_r("+", "+", EXACT).mat
     assert residual(pp, swap_matrix(2, 2)) == 0
-    # the coincident dual-dual matrix
-    dp = coincident_dual_pp(EXACT).mat
-    expect = Mat.zeros((4, 4), EXACT)
+    # the coincident dual-dual matrix sum F^i_k (x) F^k_i is the exchange
+    # operator and the equal-argument residue of R*: (x-y) f R* = (x-y) I + it
+    dp = Mat.zeros((4, 4), EXACT)
     for i in (1, 2):
         for kk in (1, 2):
-            expect = expect + unit_F(PLUS, i, kk, EXACT).kron(
+            dp = dp + unit_F(PLUS, i, kk, EXACT).kron(
                 unit_F(PLUS, kk, i, EXACT))
-    assert residual(dp, expect) == 0
+    assert residual(dp, swap_matrix(2, 2)) == 0
+    x, y = Fr(9, 2), Fr(5, 3)
+    assert residual(build_dual_pp(x, y).mat.scale((x - y) * f(x, y)),
+                    Mat.identity(4, EXACT).scale(x - y) + dp) == 0
 
 
 def test_mixed_ybe_all_sign_pairs():
@@ -221,4 +224,4 @@ def test_dual_pp_is_dual_of_block_pp():
     x, y = Fr(9, 2), Fr(5, 3)
     rpp = build_block_r("+", "+", x, y).mat
     rs = build_dual_pp(x, y).mat
-    assert residual(rpp.transpose(), rs) == 0
+    assert residual(transposed(rpp), rs) == 0

