@@ -253,8 +253,9 @@ class Chain:
 
     def transfer(self, x):
         grid = self.monodromy(x)
-        num = sum((grid.num[a, a] for a in range(1, self.d)), grid.num[0, 0])
-        return Mat(self.backend, num, grid.den)._reduced()
+        diag = [Mat(self.backend, grid.num[a, a], grid.den)
+                for a in range(self.d)]
+        return sum(diag[1:], diag[0])
 
     # -- vacuum ----------------------------------------------------------
 

@@ -5,10 +5,24 @@ Everything downstream (R-matrices, monodromies, Bethe vectors) is built on
 
 * ``"exact"`` -- an integer numpy array together with a single positive
   denominator, so every entry is num[i,j]/den with arbitrary-precision
-  integers.  Matrix products use a fast int64 path whenever a conservative
-  bound guarantees no overflow, and fall back to object-dtype Python ints
-  otherwise.  Results are gcd-normalized, so identities that hold over the
-  rationals test as exact zeros.
+  integers.  The numerators are stored as int64 exactly when their largest
+  absolute value (`Mat.amax`) is below ``_INT64_SAFE`` = 2**62, and as
+  object-dtype Python ints from there up.  Each operation bounds its result
+  entries before it runs, and `_numerators` picks its dtype from that
+  bound: int64 below 2**62, object otherwise, so int64 never wraps.  The
+  bounds, with k = lcm(dens) / den the multiplier that brings an operand
+  to the common denominator:
+
+  - ``a + b``, ``a - b``: amax(a) k_a + amax(b) k_b;
+  - ``scale(p/q)``: amax |p|;
+  - ``kron``: amax(a) amax(b);
+  - ``a @ b``: inner amax(a) amax(b);
+  - ``hstack`` and ``over``: amax k, per block;
+  - ``zeros``, ``identity``, ``basis_vector``: int64.
+
+  Results are gcd-normalized, so identities that hold over the rationals
+  test as exact zeros; an object result whose amax falls below 2**62, by
+  cancellation or reduction, is stored as int64 again.
 * ``"float"`` -- a plain complex128 numpy array.
 
 Every operator the package applies is a string of factors, each acting
@@ -27,19 +41,54 @@ oracle the tests hold `apply_on_legs` to.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
 EXACT = "exact"
 FLOAT = "float"
 
-# headroom below 2**63-1 so a full inner-product bound fits in int64
+# headroom below 2**63-1 so a full inner-product bound fits in int64; an
+# exact Mat stores its numerators as int64 exactly when its amax is below it
 _INT64_SAFE = 1 << 62
 
 
 class ZeroVectorError(Exception):
     """A constructed state vanishes identically."""
+
+
+def _amax_of(num):
+    return max(int(num.max()), -int(num.min())) if num.size else 0
+
+
+def _stored(num, amax):
+    """`num` in its storage dtype: int64 when its amax is below 2**62,
+    object from there up."""
+    dtype = np.int64 if amax < _INT64_SAFE else object
+    return num if num.dtype == dtype else num.astype(dtype)
+
+
+def _numerators(bound, *terms):
+    """The arrays num * k of the exact (Mat, k) terms, in the dtype of an
+    operation whose result entries are bounded by `bound`.
+
+    Below `_INT64_SAFE` the work is int64, and every num * k fits.  A term
+    can then be stored as object (amax >= 2**62), or have a k past int64,
+    only when the result is zero: its bound's other factor is 0.  Such a
+    term enters as int64 zeros.  From the bound up the work is Python ints
+    in object arrays.
+    """
+    out = []
+    for m, k in terms:
+        if bound >= _INT64_SAFE:
+            num = m.num.astype(object, copy=False)
+        elif m.num.dtype == object or k * m.amax() == 0:
+            num = np.zeros(m.shape, dtype=np.int64)
+            k = 1
+        else:
+            num = m.num
+        out.append(num if k == 1 else num * k)
+    return out
 
 
 class Mat:
@@ -54,7 +103,11 @@ class Mat:
             self.den = 1
             self._amax = None
         else:
-            self.num = num if num.dtype == object else num.astype(object)
+            if num.dtype != object:
+                num = num.astype(np.int64, copy=False)
+            elif amax is None:
+                amax = _amax_of(num)
+            self.num = num if amax is None else _stored(num, amax)
             self.den = int(den)
             if self.den < 0:
                 self.num = -self.num
@@ -69,13 +122,13 @@ class Mat:
     def zeros(shape, backend):
         if backend == FLOAT:
             return Mat(FLOAT, np.zeros(shape, dtype=np.complex128))
-        return Mat(EXACT, np.zeros(shape, dtype=object), 1, amax=0)
+        return Mat(EXACT, np.zeros(shape, dtype=np.int64), 1, amax=0)
 
     @staticmethod
     def identity(n, backend):
         if backend == FLOAT:
             return Mat(FLOAT, np.eye(n, dtype=np.complex128))
-        return Mat(EXACT, np.eye(n, dtype=object), 1, amax=1)
+        return Mat(EXACT, np.eye(n, dtype=np.int64), 1, amax=1)
 
     @staticmethod
     def basis_vector(n, i, backend):
@@ -96,8 +149,10 @@ class Mat:
     def amax(self):
         """Largest absolute numerator (exact backend only)."""
         if self._amax is None:
-            self._amax = (max(int(self.num.max()), -int(self.num.min()))
-                          if self.num.size else 0)
+            self._amax = _amax_of(self.num)
+            # int64 arrays handed in are trusted to stay below the bound
+            # until their amax is read
+            self.num = _stored(self.num, self._amax)
         return self._amax
 
     def _reduced(self):
@@ -109,47 +164,47 @@ class Mat:
             return self
         if self.den == 1:
             return self
-        if a < _INT64_SAFE:
-            g = int(np.gcd.reduce(np.abs(self.num.astype(np.int64)).ravel()))
-        else:
+        if self.num.dtype == object:
             g = 0
             for x in self.num.flat:
                 g = gcd(g, int(x))
                 if g == 1:
                     break
+        else:
+            g = int(np.gcd.reduce(self.num.ravel()))
         g = gcd(g, self.den)
         if g > 1:
-            self.num = self.num // g
             self.den //= g
             self._amax = a // g
+            self.num = _stored(self.num // g, self._amax)
         return self
+
+    def over(self, den):
+        """The same matrix written over `den`, a multiple of its own
+        denominator, unreduced (float: itself)."""
+        if self.backend == FLOAT or den == self.den:
+            return self
+        k = den // self.den
+        amax = self.amax() * k
+        return Mat(EXACT, _numerators(amax, (self, k))[0], den, amax=amax)
 
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other):
         if self.backend == FLOAT:
             return Mat(FLOAT, self.num @ other.num)
-        inner = self.shape[1]
-        bound = inner * self.amax() * other.amax()
-        amax = None
-        if bound == 0:
-            # a zero operand, whose partner may not fit in int64
-            c = np.zeros((self.shape[0], other.shape[1]), dtype=np.int64)
-            amax = 0
-        elif bound < _INT64_SAFE:
-            c = self.num.astype(np.int64) @ other.num.astype(np.int64)
-            amax = int(np.abs(c).max()) if c.size else 0
-            c = c.astype(object)
-        else:
-            c = self.num.dot(other.num)
-        return Mat(EXACT, c, self.den * other.den, amax=amax)._reduced()
+        bound = self.shape[1] * self.amax() * other.amax()
+        a, b = _numerators(bound, (self, 1), (other, 1))
+        return Mat(EXACT, a @ b, self.den * other.den)._reduced()
 
     def __add__(self, other):
         if self.backend == FLOAT:
             return Mat(FLOAT, self.num + other.num)
-        d = self.den * other.den // gcd(self.den, other.den)
-        c = self.num * (d // self.den) + other.num * (d // other.den)
-        return Mat(EXACT, c, d)._reduced()
+        d = lcm(self.den, other.den)
+        ka, kb = d // self.den, d // other.den
+        a, b = _numerators(self.amax() * ka + other.amax() * kb,
+                           (self, ka), (other, kb))
+        return Mat(EXACT, a + b, d)._reduced()
 
     def __sub__(self, other):
         return self + (-other)
@@ -163,15 +218,16 @@ class Mat:
         if self.backend == FLOAT:
             return Mat(FLOAT, self.num * complex(s))
         s = Fraction(s)
-        return Mat(EXACT, self.num * s.numerator, self.den * s.denominator)._reduced()
+        p = s.numerator
+        (num,) = _numerators(self.amax() * abs(p), (self, p))
+        return Mat(EXACT, num, self.den * s.denominator)._reduced()
 
     def kron(self, other):
         if self.backend == FLOAT:
             return Mat(FLOAT, np.kron(self.num, other.num))
-        amax = None
-        if self._amax is not None and other._amax is not None:
-            amax = self._amax * other._amax
-        return Mat(EXACT, np.kron(self.num, other.num), self.den * other.den,
+        amax = self.amax() * other.amax()
+        a, b = _numerators(amax, (self, 1), (other, 1))
+        return Mat(EXACT, np.kron(a, b), self.den * other.den,
                    amax=amax)._reduced()
 
     # -- inspection ----------------------------------------------------
@@ -291,12 +347,10 @@ def hstack(mats):
     brought to a common denominator."""
     if mats[0].backend == FLOAT:
         return Mat(FLOAT, np.hstack([m.num for m in mats]))
-    den = 1
-    for m in mats:
-        den = den * m.den // gcd(den, m.den)
-    num = np.hstack([m.num if m.den == den else m.num * (den // m.den)
-                     for m in mats])
-    return Mat(EXACT, num, den)._reduced()
+    den = lcm(*(m.den for m in mats))
+    blocks = [m.over(den) for m in mats]
+    return Mat(EXACT, np.hstack([b.num for b in blocks]), den,
+               amax=max(b.amax() for b in blocks))._reduced()
 
 
 def check_nonzero(vec: Mat, what="state"):

@@ -197,10 +197,10 @@ def build_tilde_r(x, y):
     backend = _backend_of(x)
     blocks = {signs: build_block_r(*signs, x, y).mat for signs in TILDE_SLOTS}
     den = lcm(*(blk.den for blk in blocks.values()))
-    num = Mat.zeros((16, 16), backend).num
-    for signs, blk in blocks.items():
-        num[np.ix_(TILDE_SLOTS[signs], TILDE_SLOTS[signs])] = \
-            blk.num * (den // blk.den)
+    parts = {signs: blk.over(den).num for signs, blk in blocks.items()}
+    num = np.zeros((16, 16), dtype=np.result_type(*parts.values()))
+    for signs, part in parts.items():
+        num[np.ix_(TILDE_SLOTS[signs], TILDE_SLOTS[signs])] = part
     return ROperator(Mat(backend, num, den)._reduced())
 
 
