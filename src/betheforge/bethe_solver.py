@@ -42,13 +42,51 @@ RUNAWAY_RADIUS = 1e3
 LEAK_TOL = 1e-10
 
 
+def _sp4_config(roots):
+    return Sp4BetheConfig(roots["u"], roots["v"], roots["w"])
+
+
+# One entry per solved model.  `unknowns` are the root families in
+# flat-vector order, one count each in `SolveProblem.counts`: gl2 (N,),
+# gl3 (M, Nu) for M outer roots v and Nu inner roots u, sp4 (N, P, Q).
+# `residuals` gives {family: [(raw, relative)]}; it, `vector` and
+# `eigenvalue` are lambdas over module-level names, so a patch of those
+# names (as the benchmark's tracer makes) is seen.  `clearing` holds each
+# condition family in residual order as (family, divide, *factors), for
+# `_clearing_factors`.
+MODELS = {
+    "gl2": dict(
+        unknowns=("u",),
+        residuals=lambda ch, r: {"u": gl2_residuals(ch, r["u"])},
+        vector=lambda ch, r: gl2_vector(ch, r["u"]),
+        eigenvalue=lambda ch, x, r: gl2_eigenvalue(ch, x, r["u"]),
+        clearing=(("u", False, ("z", 1), ("u", 0)),)),
+    "gl3": dict(
+        unknowns=("v", "u"),
+        residuals=lambda ch, r: gl3_residuals(ch, r["u"], r["v"]),
+        vector=lambda ch, r: gl3_vector(ch, r["u"], r["v"]),
+        eigenvalue=lambda ch, x, r: gl3_eigenvalue(ch, x, r["u"], r["v"]),
+        clearing=(("u", False, ("z", 1), ("v", 0), ("u", 0)),
+                  ("v", True, ("z", 1), ("u", 0), ("v", 0)))),
+    "sp4": dict(
+        unknowns=("u", "v", "w"),
+        residuals=lambda ch, r: sp4_residuals(ch, _sp4_config(r)),
+        vector=lambda ch, r: sp4_bethe_vector(ch, _sp4_config(r)),
+        eigenvalue=lambda ch, x, r: sp4_eigenvalue(ch, x, _sp4_config(r)),
+        clearing=(
+            ("u", True, ("z", 1), ("u", 0), ("v", 0, 2), ("w", -2, 0)),
+            ("v", False, ("z", 1), ("u", 0), ("v", 0), ("w", -2)),
+            ("w", True, ("z", 1, 3), ("u", 0), ("v", 2), ("w", 0)))),
+}
+
+
 @dataclass
 class SolveProblem:
     """Model, chain and excitation counts, plus solver options."""
 
     chain: Chain
     model: str
-    counts: tuple                  # gl2: (N,); gl3: (M, Nu); sp4: (N, P, Q)
+    counts: tuple
     tol: float = 1e-12
     max_iter: int = 60
     max_damping: int = 12
@@ -83,29 +121,24 @@ class SolveResult:
 
 def _split_roots(problem: SolveProblem, vec):
     """Flat complex vector -> per-family root tuples."""
-    counts = problem.counts
-    if problem.model == "gl2":
-        return {"u": tuple(vec[:counts[0]])}
-    if problem.model == "gl3":
-        m, nu = counts
-        return {"v": tuple(vec[:m]), "u": tuple(vec[m:m + nu])}
-    n, p, q = counts
-    return {"u": tuple(vec[:n]), "v": tuple(vec[n:n + p]),
-            "w": tuple(vec[n + p:n + p + q])}
+    roots, start = {}, 0
+    for fam, n in zip(MODELS[problem.model]["unknowns"], problem.counts):
+        roots[fam] = tuple(vec[start:start + n])
+        start += n
+    return roots
 
 
 def _raw_rel(problem: SolveProblem, roots):
-    ch = problem.chain
-    if problem.model == "gl2":
-        pairs = gl2_residuals(ch, roots["u"])
-    elif problem.model == "gl3":
-        res = gl3_residuals(ch, roots["u"], roots["v"])
-        pairs = res["u"] + res["v"]
-    else:
-        res = sp4_residuals(ch, Sp4BetheConfig(roots["u"], roots["v"],
-                                               roots["w"]))
-        pairs = res["u"] + res["v"] + res["w"]
+    model = MODELS[problem.model]
+    res = model["residuals"](problem.chain, roots)
+    pairs = [p for fam, *_ in model["clearing"] for p in res[fam]]
     return ([complex(a) for a, _ in pairs], [complex(b) for _, b in pairs])
+
+
+def _shifted(r, s):
+    """r + s, written r - |s| for s < 0 and r for s = 0: adding an int turns
+    an imaginary part of -0.0 into +0.0."""
+    return r + s if s > 0 else r - -s if s < 0 else r
 
 
 def _clearing_factors(problem: SolveProblem, roots):
@@ -113,93 +146,42 @@ def _clearing_factors(problem: SolveProblem, roots):
 
     Multiplying the raw residual by its denominator polynomial clears every
     finite pole, so Newton sees no pole walls and no flat tail toward
-    infinity.  Each multiplier is additionally divided by prod_j (root-z_j):
-    on fundamental chains several weight functions vanish on the
-    inhomogeneities, making every z_j a spurious zero of the raw difference;
-    the division removes those sinks (and where no shared zero exists it
-    merely repels iterates from the z_j, which are non-roots anyway).
+    infinity.  A family's `clearing` entry (family, divide, *factors) gives
+    that polynomial at root r: a factor (other, *shifts) multiplies in, for
+    each root o of `other` but r itself, the product over the shifts s of
+    (r + s) - o; `other` "z" stands for the inhomogeneities, each giving
+    (r - z_j) + s.  The grouping is fixed so that float results are
+    bit-identical to the written-out products (the test oracle): the terms
+    are computed as just written, the terms of one factor's shifts are
+    multiplied together before their product enters the running one, and
+    factors and shifts enter in table order.
+
+    With `divide` the multiplier is also divided by prod_j (r - z_j): on
+    fundamental chains several weight functions vanish on the z_j, making
+    each a spurious zero of the raw difference; the division removes those
+    sinks (where no shared zero exists it merely repels iterates from the
+    z_j, which are non-roots anyway).
     """
     zs = [complex(z) for z in problem.chain.spec.inhomogeneities]
-    u = [complex(z) for z in roots.get("u", ())]
-    v = [complex(z) for z in roots.get("v", ())]
-    w = [complex(z) for z in roots.get("w", ())]
+    vals = {fam: [complex(z) for z in rs] for fam, rs in roots.items()}
     out = []
-
-    def zdiv(root, d):
-        # only for families whose two sides share the prod (root - z_j) zero
-        # (the fundamental-chain weight profiles): dividing removes those
-        # spurious sinks while keeping polynomial growth at infinity
-        for z in zs:
-            d = d / (root - z)
-        return d
-
-    if problem.model == "gl2":
-        for k, uk in enumerate(u):
+    for fam, divide, *factors in MODELS[problem.model]["clearing"]:
+        for k, r in enumerate(vals[fam]):
             d = 1.0 + 0j
-            for z in zs:
-                d *= uk - z + 1
-            for l, ul in enumerate(u):
-                if l != k:
-                    d *= uk - ul
+            for other, *shifts in factors:
+                at_z = other == "z"
+                for l, o in enumerate(zs if at_z else vals[other]):
+                    if other == fam and l == k:
+                        continue
+                    f = None
+                    for s in shifts:
+                        t = _shifted(r - o, s) if at_z else _shifted(r, s) - o
+                        f = t if f is None else f * t
+                    d *= f
+            if divide:
+                for z in zs:
+                    d = d / (r - z)
             out.append(d)
-    elif problem.model == "gl3":
-        for k, uk in enumerate(u):
-            d = 1.0 + 0j
-            for z in zs:
-                d *= uk - z + 1
-            for vr in v:
-                d *= uk - vr
-            for l, ul in enumerate(u):
-                if l != k:
-                    d *= uk - ul
-            out.append(d)
-        for r, vr in enumerate(v):
-            d = 1.0 + 0j
-            for z in zs:
-                d *= vr - z + 1
-            for ul in u:
-                d *= vr - ul
-            for l, vl in enumerate(v):
-                if l != r:
-                    d *= vr - vl
-            out.append(zdiv(vr, d))
-    else:
-        for k, uk in enumerate(u):
-            d = 1.0 + 0j
-            for z in zs:
-                d *= uk - z + 1
-            for l, ul in enumerate(u):
-                if l != k:
-                    d *= uk - ul
-            for vr in v:
-                d *= (uk - vr) * (uk + 2 - vr)
-            for ws in w:
-                d *= (uk - 2 - ws) * (uk - ws)
-            out.append(zdiv(uk, d))
-        for r, vr in enumerate(v):
-            d = 1.0 + 0j
-            for z in zs:
-                d *= vr - z + 1
-            for ul in u:
-                d *= vr - ul
-            for l, vl in enumerate(v):
-                if l != r:
-                    d *= vr - vl
-            for ws in w:
-                d *= vr - 2 - ws
-            out.append(d)
-        for s, ws in enumerate(w):
-            d = 1.0 + 0j
-            for z in zs:
-                d *= (ws - z + 1) * (ws - z + 3)
-            for ul in u:
-                d *= ws - ul
-            for vr in v:
-                d *= ws + 2 - vr
-            for l, wl in enumerate(w):
-                if l != s:
-                    d *= ws - wl
-            out.append(zdiv(ws, d))
     return out
 
 
@@ -365,23 +347,11 @@ def _pair_off(va, vb):
 
 
 def build_state(problem: SolveProblem, roots):
-    ch = problem.chain
-    if problem.model == "gl2":
-        return gl2_vector(ch, roots["u"])
-    if problem.model == "gl3":
-        return gl3_vector(ch, roots["u"], roots["v"])
-    return sp4_bethe_vector(ch, Sp4BetheConfig(roots["u"], roots["v"],
-                                               roots["w"]))
+    return MODELS[problem.model]["vector"](problem.chain, roots)
 
 
 def eigenvalue(problem: SolveProblem, x, roots):
-    ch = problem.chain
-    if problem.model == "gl2":
-        return gl2_eigenvalue(ch, x, roots["u"])
-    if problem.model == "gl3":
-        return gl3_eigenvalue(ch, x, roots["u"], roots["v"])
-    return sp4_eigenvalue(ch, x, Sp4BetheConfig(roots["u"], roots["v"],
-                                                roots["w"]))
+    return MODELS[problem.model]["eigenvalue"](problem.chain, x, roots)
 
 
 def verify_solution(problem: SolveProblem, result: SolveResult, samples):

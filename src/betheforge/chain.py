@@ -43,7 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import EXACT, FLOAT, Mat, braid_residual, residual
-from .rmatrix import SP4_SPACE, build_gl_r, build_sp4_r, gl_space
+# build_sp4_r stays importable from here for the benchmark's tracer test
+from .rmatrix import _BUILDERS, SP4_SPACE, build_sp4_r, gl_space  # noqa: F401
 from .scalars import is_exact, parse_scalar
 
 SPECTRUM_CAPACITY = 256
@@ -67,16 +68,15 @@ class CapacityError(Exception):
     """Requested computation exceeds the declared desk-scale bound."""
 
 
-_MODEL_SPACE = {"gl2": gl_space(2), "gl3": gl_space(3), "sp4": SP4_SPACE}
-# Cartan weight of each local basis value, in the order of the model's space:
-# gl(n) counts each value, sp(4) reads (n_1 - n_{-1}, n_2 - n_{-2})
-_LOCAL_WEIGHTS = {
-    "gl2": ((1, 0), (0, 1)),
-    "gl3": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    "sp4": ((0, -1), (-1, 0), (1, 0), (0, 1)),     # values -2, -1, 1, 2
+# Per model (its site R-matrices come from `_BUILDERS[model]`): the local
+# space; the Cartan weight of each local basis value in that order (gl(n)
+# counts each value, sp(4) reads (n_1 - n_{-1}, n_2 - n_{-2})); and the
+# annihilating wedge scanned first, per the model's own convention.
+_MODELS = {
+    "gl2": (gl_space(2), ((1, 0), (0, 1)), "i>k"),
+    "gl3": (gl_space(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "i>k"),
+    "sp4": (SP4_SPACE, ((0, -1), (-1, 0), (1, 0), (0, 1)), "i<k"),
 }
-# annihilating wedge scanned first, per the model's own convention
-_PRIMARY_CONVENTION = {"gl2": "i>k", "gl3": "i>k", "sp4": "i<k"}
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class ChainSpec:
     backend: str = EXACT
 
     def __post_init__(self):
-        if self.model not in _MODEL_SPACE:
+        if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.length < 1:
             raise ValueError("chain length must be >= 1")
@@ -176,7 +176,7 @@ class Chain:
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
-        self.space = _MODEL_SPACE[spec.model]
+        self.space, self._local_weights, self._primary = _MODELS[spec.model]
         self.d = len(self.space)
         self.dim = self.d ** spec.length
         self.backend = spec.backend
@@ -192,8 +192,7 @@ class Chain:
         key = (x, z)
         r = self._site_cache.hit(key)
         if r is None:
-            r = (build_sp4_r(x, z) if self.spec.model == "sp4"
-                 else build_gl_r(self.d, x, z)).mat
+            r = _BUILDERS[self.spec.model][0](x, z).mat
             r.num.flags.writeable = False
             self._site_cache.put(key, r, _SITE_R_CACHE_BYTES)
         return r
@@ -240,7 +239,7 @@ class Chain:
         """Read-only (D, rank) int array: the Cartan weight of every product
         basis state, the sum of its sites' local weights (first site most
         significant, as in the state vectors)."""
-        local = np.array(_LOCAL_WEIGHTS[self.spec.model], dtype=np.int64)
+        local = np.array(self._local_weights, dtype=np.int64)
         rank = local.shape[1]
         weights = np.zeros((1, rank), dtype=np.int64)
         for _ in range(self.spec.length):
@@ -301,7 +300,7 @@ class Chain:
         ).transpose(0, 1, 3, 2, 4)
         diag = np.arange(d)
         upper = np.less.outer(diag, diag)      # slot order is value order
-        primary = _PRIMARY_CONVENTION[self.spec.model]
+        primary = self._primary
         for conv in (primary, "i>k" if primary == "i<k" else "i<k"):
             wedge = upper if conv == "i<k" else upper.T
             for slot, c in enumerate(self.space):

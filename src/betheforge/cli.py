@@ -74,10 +74,11 @@ def _cmd_chain_check(args):
     return 0 if ok else 1
 
 
-def _dense_check(out, ch, model, counts, roots, res, n_samples):
+def _dense_check(out, ch, model, roots, res, n_samples):
     """Add the dense-oracle verdict for `roots` at `n_samples` points to
     `out`."""
     samples = [complex(3.1 + 0.7j) + k for k in range(n_samples)]
+    counts = tuple(len(roots[fam]) for fam in solver.MODELS[model]["unknowns"])
     prob = solver.SolveProblem(ch, model, counts)
     result = solver.SolveResult(
         roots, max([0.0] + [abs(r) for vals in res.values() for _, r in vals]),
@@ -103,8 +104,7 @@ def _cmd_gl3(args):
     out["residuals"] = {fam: [abs(r) for _, r in vals]
                         for fam, vals in res.items()}
     if args.check:
-        _dense_check(out, ch, "gl3", (len(v), len(u)), {"u": u, "v": v},
-                     res, 1)
+        _dense_check(out, ch, "gl3", {"u": u, "v": v}, res, 1)
     print(json.dumps(out))
     return 0
 
@@ -122,7 +122,7 @@ def _cmd_sp4(args):
         "backend": "float",
     }
     if args.verify:
-        _dense_check(out, ch, "sp4", cfg.counts,
+        _dense_check(out, ch, "sp4",
                      {"u": cfg.uvec, "v": cfg.vbar, "w": cfg.wbar}, res,
                      args.samples)
     print(json.dumps(out))
@@ -131,12 +131,8 @@ def _cmd_sp4(args):
 
 def _cmd_solve(args):
     ch = _load_chain(args.spec, FLOAT)
-    if args.model == "gl2":
-        counts = (args.N,)
-    elif args.model == "gl3":
-        counts = (args.P, args.N)   # (M outer roots, inner roots)
-    else:
-        counts = (args.N, args.P, args.Q)
+    flags = {"u": args.N, "v": args.P, "w": args.Q}
+    counts = tuple(flags[fam] for fam in solver.MODELS[args.model]["unknowns"])
     prob = solver.SolveProblem(ch, args.model, counts, starts=args.starts,
                                seed=args.seed, tol=args.tol)
     results = solver.solve(prob)
@@ -195,10 +191,12 @@ def main(argv=None):
 
     p = sub.add_parser("solve", help="solve the Bethe conditions")
     p.add_argument("--spec", required=True)
-    p.add_argument("--model", required=True, choices=["gl2", "gl3", "sp4"])
-    p.add_argument("--N", type=int, default=0)
-    p.add_argument("--P", type=int, default=0)
-    p.add_argument("--Q", type=int, default=0)
+    p.add_argument("--model", required=True, choices=list(solver.MODELS))
+    p.add_argument("--N", type=int, default=0,
+                   help="number of u roots (gl3: the inner roots)")
+    p.add_argument("--P", type=int, default=0,
+                   help="number of v roots (gl3: the outer count M)")
+    p.add_argument("--Q", type=int, default=0, help="number of w roots (sp4)")
     p.add_argument("--starts", type=int, default=50)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--tol", type=float, default=1e-11)

@@ -547,10 +547,6 @@ class Sp4BetheConfig:
         RootSet(self.vbar)
         RootSet(self.wbar)
 
-    @property
-    def counts(self):
-        return len(self.uvec), len(self.vbar), len(self.wbar)
-
 
 def sp4_bethe_vector(chain: Chain, cfg: Sp4BetheConfig) -> Mat:
     """<B_1..N(u), Phi(u; v-bar; w-bar)> on the chain space."""

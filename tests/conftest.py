@@ -11,6 +11,10 @@ and `swap_matrix` entry by entry.  The leg-by-leg applications are held to them.
 oracle of the per-site weights.
 `mat_from_scalars` and `format_scalar` write test data in and out, and
 `transposed` turns an operator around.
+`written_out_split_roots`, `written_out_raw_rel` and
+`written_out_clearing_factors` are the solver's per-model root split,
+residual order and pole-clearing products written out model by model, the
+oracle of the solver's `MODELS` table.
 """
 
 from fractions import Fraction as Fr
@@ -20,7 +24,9 @@ import numpy as np
 from hypothesis import settings
 
 from betheforge.linalg import EXACT, FLOAT, Mat, lift, residual
-from betheforge.nested_sp4 import hatted_factors
+from betheforge.nested_gl import gl2_residuals, gl3_residuals
+from betheforge.nested_sp4 import Sp4BetheConfig, hatted_factors, \
+    sp4_residuals
 
 settings.register_profile("betheforge", derandomize=True, deadline=None,
                           max_examples=15, database=None)
@@ -104,4 +110,117 @@ def grid_weights(chain, x):
         else:
             assert np.abs(v.num[:, 0] - coeff * omega.num[:, 0]).max() < 1e-10
         out.append(coeff)
+    return out
+
+
+def written_out_split_roots(problem, vec):
+    """Flat complex vector -> per-family root tuples."""
+    counts = problem.counts
+    if problem.model == "gl2":
+        return {"u": tuple(vec[:counts[0]])}
+    if problem.model == "gl3":
+        m, nu = counts
+        return {"v": tuple(vec[:m]), "u": tuple(vec[m:m + nu])}
+    n, p, q = counts
+    return {"u": tuple(vec[:n]), "v": tuple(vec[n:n + p]),
+            "w": tuple(vec[n + p:n + p + q])}
+
+
+def written_out_raw_rel(problem, roots):
+    """Raw and relative residuals, families in the solver's order."""
+    ch = problem.chain
+    if problem.model == "gl2":
+        pairs = gl2_residuals(ch, roots["u"])
+    elif problem.model == "gl3":
+        res = gl3_residuals(ch, roots["u"], roots["v"])
+        pairs = res["u"] + res["v"]
+    else:
+        res = sp4_residuals(ch, Sp4BetheConfig(roots["u"], roots["v"],
+                                               roots["w"]))
+        pairs = res["u"] + res["v"] + res["w"]
+    return ([complex(a) for a, _ in pairs], [complex(b) for _, b in pairs])
+
+
+def written_out_clearing_factors(problem, roots):
+    """Pole-clearing multiplier of each condition at its own root: the
+    denominator polynomial, divided by prod_j (root - z_j) for gl3's v and
+    sp4's u and w families."""
+    zs = [complex(z) for z in problem.chain.spec.inhomogeneities]
+    u = [complex(z) for z in roots.get("u", ())]
+    v = [complex(z) for z in roots.get("v", ())]
+    w = [complex(z) for z in roots.get("w", ())]
+    out = []
+
+    def zdiv(root, d):
+        for z in zs:
+            d = d / (root - z)
+        return d
+
+    if problem.model == "gl2":
+        for k, uk in enumerate(u):
+            d = 1.0 + 0j
+            for z in zs:
+                d *= uk - z + 1
+            for l, ul in enumerate(u):
+                if l != k:
+                    d *= uk - ul
+            out.append(d)
+    elif problem.model == "gl3":
+        for k, uk in enumerate(u):
+            d = 1.0 + 0j
+            for z in zs:
+                d *= uk - z + 1
+            for vr in v:
+                d *= uk - vr
+            for l, ul in enumerate(u):
+                if l != k:
+                    d *= uk - ul
+            out.append(d)
+        for r, vr in enumerate(v):
+            d = 1.0 + 0j
+            for z in zs:
+                d *= vr - z + 1
+            for ul in u:
+                d *= vr - ul
+            for l, vl in enumerate(v):
+                if l != r:
+                    d *= vr - vl
+            out.append(zdiv(vr, d))
+    else:
+        for k, uk in enumerate(u):
+            d = 1.0 + 0j
+            for z in zs:
+                d *= uk - z + 1
+            for l, ul in enumerate(u):
+                if l != k:
+                    d *= uk - ul
+            for vr in v:
+                d *= (uk - vr) * (uk + 2 - vr)
+            for ws in w:
+                d *= (uk - 2 - ws) * (uk - ws)
+            out.append(zdiv(uk, d))
+        for r, vr in enumerate(v):
+            d = 1.0 + 0j
+            for z in zs:
+                d *= vr - z + 1
+            for ul in u:
+                d *= vr - ul
+            for l, vl in enumerate(v):
+                if l != r:
+                    d *= vr - vl
+            for ws in w:
+                d *= vr - 2 - ws
+            out.append(d)
+        for s, ws in enumerate(w):
+            d = 1.0 + 0j
+            for z in zs:
+                d *= (ws - z + 1) * (ws - z + 3)
+            for ul in u:
+                d *= ws - ul
+            for vr in v:
+                d *= ws + 2 - vr
+            for l, wl in enumerate(w):
+                if l != s:
+                    d *= ws - wl
+            out.append(zdiv(ws, d))
     return out

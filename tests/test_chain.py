@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from betheforge import chain as chain_mod
+from betheforge import chain as chain_mod, rmatrix
 from betheforge.chain import (CapacityError, Chain, ChainSpec, NoVacuumError,
                               aux_matrix, chain_spec_from_dict,
                               check_commuting, check_rtt,
@@ -318,7 +318,7 @@ def _grid_candidates(ch):
     """Oracle: the (value, convention) pairs the monodromy grid accepts, in
     scan order: at the three scan points the wedge entries annihilate the
     candidate and the diagonal ones act on it by a scalar."""
-    primary = chain_mod._PRIMARY_CONVENTION[ch.spec.model]
+    primary = ch._primary
     out = []
     for conv in (primary, "i>k" if primary == "i<k" else "i<k"):
         wedge = [(i, k) for i in ch.space for k in ch.space
@@ -348,7 +348,7 @@ def test_site_vacuum_test_agrees_with_grid_scan(model, length, backend):
     assert found == _grid_candidates(ch)
     # a highest-weight vacuum under one wedge, a lowest under the other
     assert len(found) == 2
-    assert found[0][1] == chain_mod._PRIMARY_CONVENTION[model]
+    assert found[0][1] == ch._primary
     vac = ch.vacuum()
     assert (vac.local_value, vac.convention) == found[0]
 
@@ -372,7 +372,7 @@ def _with_extra_entries(model, entries):
 
 def _wedge_entry(model, c, conv):
     """An entry in a wedge block of `conv`, applied to e_c."""
-    space = chain_mod._MODEL_SPACE[model]
+    space = chain_mod._MODELS[model][0]
     t, last = space.index(c), len(space) - 1
     return (last, t, 0, t) if conv == "i>k" else (0, t, last, t)
 
@@ -394,8 +394,9 @@ def test_wedge_entry_in_a_site_r_rejects_its_vacuum(model):
 @pytest.mark.parametrize("model", ["gl2", "gl3", "sp4"])
 def test_diagonal_block_leaving_the_vacuum_rejects_it(model):
     first, second = _chain(model, 2)._vacuum_candidates()
-    t = chain_mod._MODEL_SPACE[model].index(first[0])
-    for a in range(len(chain_mod._MODEL_SPACE[model])):
+    space = chain_mod._MODELS[model][0]
+    t = space.index(first[0])
+    for a in range(len(space)):
         # R_j[a, a] e_c gains a component off e_c
         ch = _with_extra_entries(model, [(a, 1 - min(t, 1), a, t)])
         assert list(ch._vacuum_candidates()) == _grid_candidates(ch) \
@@ -417,9 +418,9 @@ def test_weights_and_vacuum_build_no_monodromy(monkeypatch):
 
 def test_weights_and_monodromy_share_site_r_builds(monkeypatch):
     built = []
-    plain = chain_mod.build_sp4_r
-    monkeypatch.setattr(chain_mod, "build_sp4_r",
-                        lambda x, z: built.append((x, z)) or plain(x, z))
+    plain, d = rmatrix._BUILDERS["sp4"]
+    monkeypatch.setitem(rmatrix._BUILDERS, "sp4",
+                        (lambda x, z: built.append((x, z)) or plain(x, z), d))
     ch = _chain("sp4", 3, FLOAT)
     ch.vacuum()
     built.clear()

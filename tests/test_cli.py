@@ -85,6 +85,37 @@ def test_solve_command(capsys, chain_file):
     assert abs(doc[0]["roots"]["v"][0][0] + 0.25) < 1e-9
 
 
+def _solve(capsys, tmp_path, spec, flags):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec))
+    code, out = _run(capsys, ["solve", "--spec", str(path)] + flags)
+    return code, json.loads(out)
+
+
+def test_solve_command_gl2(capsys, tmp_path):
+    code, doc = _solve(capsys, tmp_path, {"model": "gl2", "length": 2,
+                                          "inhomogeneities": ["0", "1/2"]},
+                       ["--model", "gl2", "--N", "1", "--starts", "10"])
+    assert code == 0 and doc
+    for res in doc:
+        assert res["converged"] and list(res["roots"]) == ["u"]
+        assert len(res["roots"]["u"]) == 1
+
+
+def test_solve_command_gl3_counts_outer_roots_with_p(capsys, tmp_path):
+    # the three-site singlet: --P gives the M = 1 outer root v, --N the
+    # two inner roots u
+    code, doc = _solve(capsys, tmp_path,
+                       {"model": "gl3", "length": 3,
+                        "inhomogeneities": ["0", "0.4", "0.7"]},
+                       ["--model", "gl3", "--P", "1", "--N", "2",
+                        "--starts", "6", "--seed", "0"])
+    assert code == 0 and doc
+    for res in doc:
+        assert res["converged"]
+        assert {f: len(r) for f, r in res["roots"].items()} == {"v": 1, "u": 2}
+
+
 def test_verify_command(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out = _run(capsys, ["verify", "--filter", "unitarity.*",

@@ -1,21 +1,24 @@
 """Newton solver: root finding, determinism, deduplication, rejection
 filters, the verification report, and that a solve builds no monodromy."""
 
+import ast
 from fractions import Fraction as Fr
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from betheforge import bethe_solver
+from betheforge import bethe_solver, chain, cli
 from betheforge.bethe_solver import (SolveProblem, SolveResult, eigenvalue,
                                      build_state, residual_vector, solve,
                                      verify_solution)
 from betheforge.chain import CapacityError, Chain, ChainSpec, \
     default_inhomogeneities
 from betheforge.linalg import Mat
-from conftest import grid_weights
+from betheforge.scalars import PoleError
+from conftest import (grid_weights, written_out_clearing_factors,
+                      written_out_raw_rel, written_out_split_roots)
 
 
 def _chain(model, length=2):
@@ -137,6 +140,91 @@ def test_sp4_wing_roots(sp4_chain):
     assert res and abs(res[0].roots["v"][0] + 0.25) < 1e-9
     res = solve(SolveProblem(sp4_chain, "sp4", (0, 0, 1), starts=30, seed=3))
     assert res and abs(res[0].roots["w"][0] + 2.25) < 1e-9
+
+
+@st.composite
+def _flat_roots(draw, n):
+    """n generic complex roots, among them conjugate pairs and real roots
+    with imaginary part +0.0 or -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = []
+    while len(out) < n:
+        kind = draw(st.sampled_from(["generic", "pair", "+0", "-0"]))
+        re, im = rng.uniform(-2, 2), rng.uniform(0.05, 1.5)
+        if kind == "pair":
+            out += [complex(re, im), complex(re, -im)]
+        else:
+            out.append(complex(re, {"+0": 0.0, "-0": -0.0}.get(
+                kind, im * rng.choice([-1, 1]))))
+    return np.array(out[:n], dtype=complex)
+
+
+def _hexes(values):
+    return [h for z in values for h in (float(z.real).hex(),
+                                        float(z.imag).hex())]
+
+
+def _outcome(fn):
+    """fn()'s value, or the name of the evaluation error it raised."""
+    try:
+        return fn()
+    except (PoleError, ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("model,length,counts", [
+    ("gl2", 2, (1,)), ("gl2", 3, (3,)), ("gl3", 2, (1, 1)),
+    ("gl3", 3, (1, 2)), ("gl3", 3, (2, 1)), ("sp4", 2, (1, 1, 1)),
+    ("sp4", 2, (2, 1, 2)), ("sp4", 3, (1, 2, 1))])
+def test_clearing_table_matches_written_out_products(model, length, counts):
+    prob = SolveProblem(_chain(model, length), model, counts)
+
+    def written_out(vec, form):
+        roots = written_out_split_roots(prob, vec)
+        raw, _ = written_out_raw_rel(prob, roots)
+        if form == "cleared":
+            fac = written_out_clearing_factors(prob, roots)
+            raw = [a * d for a, d in zip(raw, fac)]
+        return _hexes(raw)
+
+    @given(vec=_flat_roots(sum(counts)))
+    @settings(max_examples=60)
+    def check(vec):
+        roots = bethe_solver._split_roots(prob, vec)
+        want = written_out_split_roots(prob, vec)
+        assert list(roots) == list(want)
+        assert ({f: _hexes(r) for f, r in roots.items()}
+                == {f: _hexes(r) for f, r in want.items()})
+        assert _outcome(lambda: _hexes(
+            bethe_solver._clearing_factors(prob, roots))) == _outcome(
+            lambda: _hexes(written_out_clearing_factors(prob, want)))
+        for form in ("raw", "cleared"):
+            got = _outcome(lambda: [float(x).hex() for x in residual_vector(
+                prob, vec, form=form)])
+            assert got == _outcome(lambda: written_out(vec, form))
+
+    check()
+
+
+def _compares_model_to_a_name(node):
+    sides = [node.left, *node.comparators]
+    return (any(isinstance(s, ast.Attribute) and s.attr == "model"
+                for s in sides)
+            and any(isinstance(s, ast.Constant) and isinstance(s.value, str)
+                    for s in sides))
+
+
+def test_no_module_dispatches_on_the_model_name():
+    # per-model behaviour is read from the model tables, never from a
+    # comparison such as `problem.model == "gl3"`
+    found = []
+    for mod in (bethe_solver, chain, cli):
+        with open(mod.__file__) as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{mod.__name__}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and _compares_model_to_a_name(node)]
+    assert found == []
 
 
 def test_residual_vector_forms(gl2_chain):
