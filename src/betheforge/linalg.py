@@ -16,6 +16,7 @@ Everything downstream (R-matrices, monodromies, Bethe vectors) is built on
   - ``a + b``, ``a - b``: amax(a) k_a + amax(b) k_b;
   - ``scale(p/q)``: amax |p|;
   - ``kron``: amax(a) amax(b);
+  - ``tensor_sum``: the sum of amax(T) |k| over its terms;
   - ``a @ b``: inner amax(a) amax(b);
   - ``hstack`` and ``over``: amax k, per block;
   - ``zeros``, ``identity``, ``basis_vector``: int64.
@@ -129,6 +130,33 @@ class Mat:
         if backend == FLOAT:
             return Mat(FLOAT, np.eye(n, dtype=np.complex128))
         return Mat(EXACT, np.eye(n, dtype=np.int64), 1, amax=1)
+
+    @staticmethod
+    def tensor_sum(terms, backend):
+        """sum_t c_t T_t over the (T, c) terms, T an integer array and c a
+        scalar (Fraction/int exact, complex float), in new memory.
+
+        Float: the products T c accumulate left to right.  Exact: the terms
+        go over one common denominator into one array, with one gcd
+        reduction.
+        """
+        if backend == FLOAT:
+            out = None
+            for t, c in terms:
+                part = t * complex(c)
+                out = part if out is None else out + part
+            return Mat(FLOAT, out)
+        coeffs = [Fraction(c) for _, c in terms]
+        den = lcm(*(c.denominator for c in coeffs))
+        parts = [(t, c.numerator * (den // c.denominator), _amax_of(t))
+                 for (t, _), c in zip(terms, coeffs)]
+        bound = sum(a * abs(k) for _, k, a in parts)
+        dtype = np.int64 if bound < _INT64_SAFE else object
+        num = np.zeros(terms[0][0].shape, dtype=dtype)
+        for t, k, a in parts:
+            if k * a:
+                num += t.astype(dtype, copy=False) * k
+        return Mat(EXACT, num, den)._reduced()
 
     @staticmethod
     def basis_vector(n, i, backend):

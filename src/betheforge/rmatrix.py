@@ -15,7 +15,26 @@ Index conventions (the single canonical table for the whole package):
 
 Builders produce `ROperator`s, each holding its matrix on two tensor legs;
 the two-sector matrix places the four sign blocks through one slot map
-(`TILDE_SLOTS`).  The checkers verify the Yang-Baxter equation, unitarity,
+(`TILDE_SLOTS`).  Every family but gl(n) is the identity plus scalars times
+fixed integer structure tensors, combined by `Mat.tensor_sum`:
+
+* sp(4) is (1/f)(I + g P - h K), with P the exchange and K the eps-signed
+  pair coupling sum eps(i) eps(k) E^i_k (x) E^{-i}_{-k};
+* the same-sign blocks carry the exchange, the mixed-sign blocks the pair
+  coupling of the two sign spaces;
+* the dual-leg dressings carry the same two shapes with their second leg
+  dual, and the dual-dual matrix the exchange on two dual legs.
+
+The tensors are made once, at import, by index placement over a pair of
+spaces (`_structure`), and are read-only; no builder returns memory that
+shares them.  gl(n) still sums Kronecker products of matrix units
+(`unit_E`), though `_exchange(gl_space(n), gl_space(n))` is its P: built
+that way, solve-small runs about 7 times as many tasks in its timed pass,
+and perfbench's traced pass, which collects garbage over every span
+recorded so far after each task, then took 712 s instead of about 100 s.
+The switch waits on that collection (ROADMAP item 7).
+
+The checkers verify the Yang-Baxter equation, unitarity,
 and the auxiliary reordering identities used by the dressed-monodromy
 constructions, each braid through `linalg.braid_residual`.
 """
@@ -85,6 +104,55 @@ class ROperator:
     mat: Mat
 
 
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _structure(s1, s2, terms, dual=()):
+    """The tensor sum v E^a_b (x) E^c_d over the (a, b, c, d, v) terms, on
+    s1 (x) s2, as a read-only int64 array made by index placement.  The legs
+    listed in `dual` (1, 2) are dual legs, whose F^a_b is the matrix E^b_a."""
+    d2 = len(s2)
+    t = np.zeros((len(s1) * d2,) * 2, dtype=np.int64)
+    for a, b, c, d, v in terms:
+        if 1 in dual:
+            a, b = b, a
+        if 2 in dual:
+            c, d = d, c
+        t[s1.index(b) * d2 + s2.index(d), s1.index(a) * d2 + s2.index(c)] += v
+    return _frozen(t)
+
+
+def _exchange(s1, s2, dual=()):
+    """sum_{a,b in s1} E^a_b (x) E^b_a: on s1 (x) s1, the exchange P."""
+    return _structure(s1, s2, [(a, b, b, a, 1) for a in s1 for b in s1], dual)
+
+
+def _pair_coupling(s1, s2, dual=()):
+    """sum_{a,b in s1} eps(a) eps(b) E^a_b (x) E^{-a}_{-b}: on the sp(4)
+    space, the rank-one coupling K of each index to its negative."""
+    return _structure(s1, s2, [(a, b, -a, -b, eps(a) * eps(b))
+                               for a in s1 for b in s1], dual)
+
+
+_ID4 = _frozen(np.eye(4, dtype=np.int64))
+_ID16 = _frozen(np.eye(16, dtype=np.int64))
+_SP4_P = _exchange(SP4_SPACE, SP4_SPACE)
+_SP4_K = _pair_coupling(SP4_SPACE, SP4_SPACE)
+# the sign-block couplings: the exchange on equal signs, the pair coupling
+# of the two sign spaces on mixed ones
+_BLOCK = {("+", "+"): _exchange(PLUS, PLUS),
+          ("-", "-"): _exchange(MINUS, MINUS),
+          ("+", "-"): _pair_coupling(PLUS, MINUS),
+          ("-", "+"): _pair_coupling(MINUS, PLUS)}
+# sum F^i_k (x) F^k_i on two dual legs
+_DUAL_PP = _exchange(PLUS, PLUS, dual=(1, 2))
+# "+": sum E^r_s (x) F^s_r; "-": sum E^{-r}_{-s} (x) F^r_s
+_HATTED = {"+": _exchange(PLUS, PLUS, dual=(2,)),
+           "-": _pair_coupling(MINUS, PLUS, dual=(2,))}
+
+
 def build_gl_r(n, x, y):
     """gl(n) R-matrix (1/f)(I (x) I + g P) on n (x) n."""
     backend = _backend_of(x)
@@ -99,18 +167,11 @@ def build_gl_r(n, x, y):
 
 
 def build_sp4_r(x, y):
-    """Symplectic 16x16 R-matrix with the extra rank-one h-term."""
-    backend = _backend_of(x)
+    """Symplectic 16x16 R-matrix (1/f)(I + g P - h K)."""
     fv, gv, hv = f(x, y), g(x, y), h(x, y)
-    sp = SP4_SPACE
-    m = Mat.identity(16, backend)
-    for i in sp:
-        for kk in sp:
-            m = m + unit_E(sp, i, kk, backend).kron(unit_E(sp, kk, i, backend)).scale(gv)
-            m = m + unit_E(sp, i, kk, backend).kron(
-                unit_E(sp, -i, -kk, backend)).scale(-hv * eps(i) * eps(kk))
-    m = m.scale(recip(fv))
-    return ROperator(m)
+    m = Mat.tensor_sum([(_ID16, 1), (_SP4_P, gv), (_SP4_K, -hv)],
+                       _backend_of(x))
+    return ROperator(m.scale(recip(fv)))
 
 
 def build_block_r(eps1, eps2, x, y, monic=False):
@@ -122,37 +183,18 @@ def build_block_r(eps1, eps2, x, y, monic=False):
     vectors are built up to scale at collision points of the prefactor).
     """
     backend = _backend_of(x)
+    coupling = _BLOCK[eps1, eps2]
     if eps1 == eps2:
-        gv = g(x, y)
-        sp = PLUS if eps1 == "+" else MINUS
-        m = Mat.identity(4, backend)
-        sgn = 1 if eps1 == "+" else -1
-        for i in (1, 2):
-            for kk in (1, 2):
-                m = m + unit_E(sp, sgn * i, sgn * kk, backend).kron(
-                    unit_E(sp, sgn * kk, sgn * i, backend)).scale(gv)
+        m = Mat.tensor_sum([(_ID4, 1), (coupling, g(x, y))], backend)
         if not monic:
             m = m.scale(recip(f(x, y)))
-    elif eps1 == "+":
-        if monic:
-            # (x-y-1) R^(+,-)(x,y): regular at the k-pole, where it becomes
-            # minus the rank-one pair coupling
-            m = Mat.identity(4, backend).scale(x - y - 1)
-            kv = 1
-        else:
-            kv = k(x, y)
-            m = Mat.identity(4, backend)
-        for i in (1, 2):
-            for kk in (1, 2):
-                m = m + unit_E(PLUS, i, kk, backend).kron(
-                    unit_E(MINUS, -i, -kk, backend)).scale(-kv)
+    elif eps1 == "+" and monic:
+        # (x-y-1) R^(+,-)(x,y): regular at the k-pole, where it becomes
+        # minus the rank-one pair coupling
+        m = Mat.tensor_sum([(_ID4, x - y - 1), (coupling, -1)], backend)
     else:
-        hv = h(x, y)
-        m = Mat.identity(4, backend)
-        for i in (1, 2):
-            for kk in (1, 2):
-                m = m + unit_E(MINUS, -i, -kk, backend).kron(
-                    unit_E(PLUS, i, kk, backend)).scale(-hv)
+        sv = k(x, y) if eps1 == "+" else h(x, y)
+        m = Mat.tensor_sum([(_ID4, 1), (coupling, -sv)], backend)
     return ROperator(m)
 
 
@@ -160,28 +202,12 @@ def coincident_block_r(eps1, eps2, backend):
     """Equal-argument specializations of the block R-matrices.
 
     Built from their explicit summed forms, never by evaluating the generic
-    formulas at the pole: (+,-) and (-,+) become I + sum E (x) E,
+    formulas at the pole: (+,-) and (-,+) become I + their pair coupling,
     (+,+) and (-,-) become the plain exchange operator.
     """
-    m = Mat.zeros((4, 4), backend)
-    if eps1 == eps2:
-        sgn = 1 if eps1 == "+" else -1
-        sp = PLUS if eps1 == "+" else MINUS
-        for r in (1, 2):
-            for s in (1, 2):
-                m = m + unit_E(sp, sgn * r, sgn * s, backend).kron(
-                    unit_E(sp, sgn * s, sgn * r, backend))
-    elif eps1 == "+":
-        m = Mat.identity(4, backend)
-        for r in (1, 2):
-            for s in (1, 2):
-                m = m + unit_E(PLUS, r, s, backend).kron(unit_E(MINUS, -r, -s, backend))
-    else:
-        m = Mat.identity(4, backend)
-        for r in (1, 2):
-            for s in (1, 2):
-                m = m + unit_E(MINUS, -r, -s, backend).kron(unit_E(PLUS, r, s, backend))
-    return ROperator(m)
+    coupling = _BLOCK[eps1, eps2]
+    terms = [(coupling, 1)] if eps1 == eps2 else [(_ID4, 1), (coupling, 1)]
+    return ROperator(Mat.tensor_sum(terms, backend))
 
 
 # rows and columns of the two-sector 16x16 matrix that hold each sign block:
@@ -206,14 +232,9 @@ def build_tilde_r(x, y):
 
 def build_dual_pp(x, y):
     """Dual-dual gl(2)-type matrix (1/f)(I* (x) I* + g sum F^i_k (x) F^k_i)."""
-    backend = _backend_of(x)
     fv, gv = f(x, y), g(x, y)
-    m = Mat.identity(4, backend)
-    for i in (1, 2):
-        for kk in (1, 2):
-            m = m + unit_F(PLUS, i, kk, backend).kron(unit_F(PLUS, kk, i, backend)).scale(gv)
-    m = m.scale(recip(fv))
-    return ROperator(m)
+    m = Mat.tensor_sum([(_ID4, 1), (_DUAL_PP, gv)], _backend_of(x))
+    return ROperator(m.scale(recip(fv)))
 
 
 def build_hatted_r(sign, x, u, monic=False):
@@ -226,44 +247,25 @@ def build_hatted_r(sign, x, u, monic=False):
     forces).
     """
     backend = _backend_of(x)
+    coupling = _HATTED[sign]
     if sign == "+":
-        gv = g(u, x)
-        m = Mat.identity(4, backend)
-        for r in (1, 2):
-            for s in (1, 2):
-                m = m + unit_E(PLUS, r, s, backend).kron(
-                    unit_F(PLUS, s, r, backend)).scale(gv)
+        m = Mat.tensor_sum([(_ID4, 1), (coupling, g(u, x))], backend)
         if not monic:
             m = m.scale(recip(f(u, x)))
-        return ROperator(m)
-    if monic:
+    elif monic:
         # (u-x-1) Rhat^(-,+)(x,u), regular at the k-pole
-        m = Mat.identity(4, backend).scale(u - x - 1)
-        kv = 1
+        m = Mat.tensor_sum([(_ID4, u - x - 1), (coupling, -1)], backend)
     else:
-        kv = k(u, x)
-        m = Mat.identity(4, backend)
-    for r in (1, 2):
-        for s in (1, 2):
-            m = m + unit_E(MINUS, -r, -s, backend).kron(
-                unit_F(PLUS, r, s, backend)).scale(-kv)
+        m = Mat.tensor_sum([(_ID4, 1), (coupling, -k(u, x))], backend)
     return ROperator(m)
 
 
 def coincident_hatted_r(sign, backend):
     """Equal-argument dressing matrices: "+" -> sum E^r_s (x) F^s_r,
     "-" -> I (x) I* + sum E^{-r}_{-s} (x) F^r_s."""
-    if sign == "+":
-        m = Mat.zeros((4, 4), backend)
-        for r in (1, 2):
-            for s in (1, 2):
-                m = m + unit_E(PLUS, r, s, backend).kron(unit_F(PLUS, s, r, backend))
-        return ROperator(m)
-    m = Mat.identity(4, backend)
-    for r in (1, 2):
-        for s in (1, 2):
-            m = m + unit_E(MINUS, -r, -s, backend).kron(unit_F(PLUS, r, s, backend))
-    return ROperator(m)
+    coupling = _HATTED[sign]
+    terms = [(coupling, 1)] if sign == "+" else [(_ID4, 1), (coupling, 1)]
+    return ROperator(Mat.tensor_sum(terms, backend))
 
 
 _BUILDERS = {

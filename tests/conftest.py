@@ -11,6 +11,9 @@ and `swap_matrix` entry by entry.  The leg-by-leg applications are held to them.
 oracle of the per-site weights.
 `mat_from_scalars` and `format_scalar` write test data in and out, and
 `transposed` turns an operator around.
+The `kron_sum_*` builders write the sp(4), sign-block, two-sector, dual
+and dressing R-matrices out as sums of Kronecker products of matrix units,
+one term per index pair, the oracle of the structure-tensor builders.
 `written_out_split_roots`, `written_out_raw_rel` and
 `written_out_clearing_factors` are the solver's per-model root split,
 residual order and pole-clearing products written out model by model, the
@@ -27,6 +30,9 @@ from betheforge.linalg import EXACT, FLOAT, Mat, lift, residual
 from betheforge.nested_gl import gl2_residuals, gl3_residuals
 from betheforge.nested_sp4 import Sp4BetheConfig, hatted_factors, \
     sp4_residuals
+from betheforge.rmatrix import (MINUS, PLUS, SP4_SPACE, TILDE_SLOTS, eps,
+                                recip, unit_E, unit_F)
+from betheforge.scalars import f, g, h, is_exact, k
 
 settings.register_profile("betheforge", derandomize=True, deadline=None,
                           max_examples=15, database=None)
@@ -224,3 +230,151 @@ def written_out_clearing_factors(problem, roots):
                     d *= ws - wl
             out.append(zdiv(ws, d))
     return out
+
+
+def _backend(x):
+    return EXACT if is_exact(x) else FLOAT
+
+
+def kron_sum_sp4_r(x, y):
+    """Symplectic 16x16 R-matrix with the extra rank-one h-term."""
+    backend = _backend(x)
+    fv, gv, hv = f(x, y), g(x, y), h(x, y)
+    sp = SP4_SPACE
+    m = Mat.identity(16, backend)
+    for i in sp:
+        for kk in sp:
+            m = m + unit_E(sp, i, kk, backend).kron(
+                unit_E(sp, kk, i, backend)).scale(gv)
+            m = m + unit_E(sp, i, kk, backend).kron(
+                unit_E(sp, -i, -kk, backend)).scale(-hv * eps(i) * eps(kk))
+    return m.scale(recip(fv))
+
+
+def kron_sum_block_r(eps1, eps2, x, y, monic=False):
+    """Sign-block R-matrices on the 2 (x) 2 block legs."""
+    backend = _backend(x)
+    if eps1 == eps2:
+        gv = g(x, y)
+        sp = PLUS if eps1 == "+" else MINUS
+        m = Mat.identity(4, backend)
+        sgn = 1 if eps1 == "+" else -1
+        for i in (1, 2):
+            for kk in (1, 2):
+                m = m + unit_E(sp, sgn * i, sgn * kk, backend).kron(
+                    unit_E(sp, sgn * kk, sgn * i, backend)).scale(gv)
+        if not monic:
+            m = m.scale(recip(f(x, y)))
+    elif eps1 == "+":
+        if monic:
+            m = Mat.identity(4, backend).scale(x - y - 1)
+            kv = 1
+        else:
+            kv = k(x, y)
+            m = Mat.identity(4, backend)
+        for i in (1, 2):
+            for kk in (1, 2):
+                m = m + unit_E(PLUS, i, kk, backend).kron(
+                    unit_E(MINUS, -i, -kk, backend)).scale(-kv)
+    else:
+        hv = h(x, y)
+        m = Mat.identity(4, backend)
+        for i in (1, 2):
+            for kk in (1, 2):
+                m = m + unit_E(MINUS, -i, -kk, backend).kron(
+                    unit_E(PLUS, i, kk, backend)).scale(-hv)
+    return m
+
+
+def kron_sum_coincident_block_r(eps1, eps2, backend):
+    """Equal-argument block R-matrices: I + sum E (x) E on mixed signs, the
+    exchange operator on equal ones."""
+    m = Mat.zeros((4, 4), backend)
+    if eps1 == eps2:
+        sgn = 1 if eps1 == "+" else -1
+        sp = PLUS if eps1 == "+" else MINUS
+        for r in (1, 2):
+            for s in (1, 2):
+                m = m + unit_E(sp, sgn * r, sgn * s, backend).kron(
+                    unit_E(sp, sgn * s, sgn * r, backend))
+    elif eps1 == "+":
+        m = Mat.identity(4, backend)
+        for r in (1, 2):
+            for s in (1, 2):
+                m = m + unit_E(PLUS, r, s, backend).kron(
+                    unit_E(MINUS, -r, -s, backend))
+    else:
+        m = Mat.identity(4, backend)
+        for r in (1, 2):
+            for s in (1, 2):
+                m = m + unit_E(MINUS, -r, -s, backend).kron(
+                    unit_E(PLUS, r, s, backend))
+    return m
+
+
+def kron_sum_tilde_r(x, y):
+    """Two-sector 16x16 R-matrix from the kron-sum sign blocks."""
+    backend = _backend(x)
+    blocks = {signs: kron_sum_block_r(*signs, x, y) for signs in TILDE_SLOTS}
+    den = lcm(*(blk.den for blk in blocks.values()))
+    parts = {signs: blk.over(den).num for signs, blk in blocks.items()}
+    num = np.zeros((16, 16), dtype=np.result_type(*parts.values()))
+    for signs, part in parts.items():
+        num[np.ix_(TILDE_SLOTS[signs], TILDE_SLOTS[signs])] = part
+    return Mat(backend, num, den)._reduced()
+
+
+def kron_sum_dual_pp(x, y):
+    """(1/f)(I* (x) I* + g sum F^i_k (x) F^k_i)."""
+    backend = _backend(x)
+    fv, gv = f(x, y), g(x, y)
+    m = Mat.identity(4, backend)
+    for i in (1, 2):
+        for kk in (1, 2):
+            m = m + unit_F(PLUS, i, kk, backend).kron(
+                unit_F(PLUS, kk, i, backend)).scale(gv)
+    return m.scale(recip(fv))
+
+
+def kron_sum_hatted_r(sign, x, u, monic=False):
+    """Block-leg/dual-leg dressing matrices."""
+    backend = _backend(x)
+    if sign == "+":
+        gv = g(u, x)
+        m = Mat.identity(4, backend)
+        for r in (1, 2):
+            for s in (1, 2):
+                m = m + unit_E(PLUS, r, s, backend).kron(
+                    unit_F(PLUS, s, r, backend)).scale(gv)
+        if not monic:
+            m = m.scale(recip(f(u, x)))
+        return m
+    if monic:
+        m = Mat.identity(4, backend).scale(u - x - 1)
+        kv = 1
+    else:
+        kv = k(u, x)
+        m = Mat.identity(4, backend)
+    for r in (1, 2):
+        for s in (1, 2):
+            m = m + unit_E(MINUS, -r, -s, backend).kron(
+                unit_F(PLUS, r, s, backend)).scale(-kv)
+    return m
+
+
+def kron_sum_coincident_hatted_r(sign, backend):
+    """Equal-argument dressings: sum E^r_s (x) F^s_r, and
+    I (x) I* + sum E^{-r}_{-s} (x) F^r_s."""
+    if sign == "+":
+        m = Mat.zeros((4, 4), backend)
+        for r in (1, 2):
+            for s in (1, 2):
+                m = m + unit_E(PLUS, r, s, backend).kron(
+                    unit_F(PLUS, s, r, backend))
+        return m
+    m = Mat.identity(4, backend)
+    for r in (1, 2):
+        for s in (1, 2):
+            m = m + unit_E(MINUS, -r, -s, backend).kron(
+                unit_F(PLUS, r, s, backend))
+    return m

@@ -181,6 +181,7 @@ def test_criterion_07_gl3_end_to_end():
 
 def test_criterion_08_sp4_end_to_end():
     def body():
+        t0 = time.perf_counter()
         # pinned headline: one site, single outer root; identically
         # satisfied condition, root-independent eigenvalue matching the
         # scalar transfer matrix, vanishing state reported as such
@@ -209,8 +210,11 @@ def test_criterion_08_sp4_end_to_end():
                 done = True
                 break
             assert done, f"no verifying configuration for {counts}"
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
     _announce(8, "sp4 L=1 pinned configuration (null state) and L=2 "
-                 "companions incl. the full three-family singlet", body)
+                 "companions incl. the full three-family singlet, under "
+                 "10 s", body)
 
 
 def test_criterion_08_stretch_skip():

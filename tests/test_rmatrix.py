@@ -1,12 +1,15 @@
 """R-matrix families: frozen entries, Yang-Baxter, unitarity, block
-structure, dual-leg machinery and the auxiliary reordering identities."""
+structure, dual-leg machinery, the auxiliary reordering identities, and the
+structure-tensor builders held to their Kronecker-sum oracles."""
 
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from betheforge.linalg import EXACT, Mat, residual
+from betheforge import rmatrix
+from betheforge.linalg import EXACT, FLOAT, Mat, residual
 from betheforge.rmatrix import (MINUS, PLUS, build_block_r,
                                 build_dual_pp, build_gl_r, build_hatted_r,
                                 build_sp4_r, build_tilde_r, check_unitarity,
@@ -15,7 +18,10 @@ from betheforge.rmatrix import (MINUS, PLUS, build_block_r,
                                 dual_reorder_residuals, mixed_ybe_residual,
                                 unit_E, unit_F)
 from betheforge.scalars import PoleError, f, g, h, k
-from conftest import mat_from_scalars, swap_matrix, transposed
+from conftest import (kron_sum_block_r, kron_sum_coincident_block_r,
+                      kron_sum_coincident_hatted_r, kron_sum_dual_pp,
+                      kron_sum_hatted_r, kron_sum_sp4_r, kron_sum_tilde_r,
+                      mat_from_scalars, swap_matrix, transposed)
 
 
 def _rand_points(rng, n, taken=()):
@@ -225,3 +231,109 @@ def test_dual_pp_is_dual_of_block_pp():
     rpp = build_block_r("+", "+", x, y).mat
     rs = build_dual_pp(x, y).mat
     assert residual(transposed(rpp), rs) == 0
+
+
+# every structure-tensor builder with arguments (x, y), and its oracle
+_SIGNS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
+_TENSOR_BUILT = {
+    "sp4": (build_sp4_r, kron_sum_sp4_r),
+    "tilde": (build_tilde_r, kron_sum_tilde_r),
+    "dual_pp": (build_dual_pp, kron_sum_dual_pp),
+    **{f"block{e1}{e2}{'.monic' * monic}": (
+        lambda x, y, e1=e1, e2=e2, monic=monic:
+            build_block_r(e1, e2, x, y, monic),
+        lambda x, y, e1=e1, e2=e2, monic=monic:
+            kron_sum_block_r(e1, e2, x, y, monic))
+       for e1, e2 in _SIGNS for monic in (False, True)},
+    **{f"hatted{sign}{'.monic' * monic}": (
+        lambda x, u, sign=sign, monic=monic: build_hatted_r(sign, x, u, monic),
+        lambda x, u, sign=sign, monic=monic:
+            kron_sum_hatted_r(sign, x, u, monic))
+       for sign in "+-" for monic in (False, True)},
+}
+_COINCIDENT = {
+    **{f"block{e1}{e2}": (lambda b, e1=e1, e2=e2: coincident_block_r(e1, e2, b),
+                          lambda b, e1=e1, e2=e2:
+                              kron_sum_coincident_block_r(e1, e2, b))
+       for e1, e2 in _SIGNS},
+    **{f"hatted{sign}": (lambda b, sign=sign: coincident_hatted_r(sign, b),
+                         lambda b, sign=sign:
+                             kron_sum_coincident_hatted_r(sign, b))
+       for sign in "+-"},
+}
+
+
+def _literal(build, *args):
+    """What a builder returns, written out so that equality is literal:
+    exact num/den with its storage dtype, float bytes, or the PoleError."""
+    try:
+        m = build(*args)
+    except PoleError as exc:
+        return ("pole", str(exc))
+    m = getattr(m, "mat", m)
+    if m.backend == FLOAT:
+        return (FLOAT, m.num.dtype, m.num.tobytes())
+    return (EXACT, m.den, m.num.dtype, m.amax(), m.num.tolist())
+
+
+@st.composite
+def _point_pairs(draw):
+    """(x, y) as rationals whose numerators reach 2^4 to 2^70, y - x often
+    on a pole offset, and as complex points whose imaginary parts include
+    +0.0 and -0.0."""
+    bits = draw(st.sampled_from((4, 31, 62, 70)))
+
+    def rational():
+        return Fr(draw(st.integers(-2 ** bits, 2 ** bits)),
+                  draw(st.integers(1, 2 ** min(bits, 40))))
+
+    y = rational()
+    if draw(st.booleans()):
+        x = y + draw(st.sampled_from((0, 1, -1, 2, -2, 3, -3)))
+    else:
+        x = rational()
+    imag = st.sampled_from((0.0, -0.0, 0.25, -1.5))
+    fx = complex(complex(x).real, draw(imag))
+    fy = complex(complex(y).real, draw(imag))
+    return (x, y), (fx, fy)
+
+
+@pytest.mark.parametrize("name", sorted(_TENSOR_BUILT))
+@given(points=_point_pairs())
+def test_tensor_builders_match_kron_sums(name, points):
+    built, oracle = _TENSOR_BUILT[name]
+    for x, y in points:
+        assert _literal(built, x, y) == _literal(oracle, x, y), (name, x, y)
+
+
+@pytest.mark.parametrize("name", sorted(_COINCIDENT))
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_coincident_tensor_forms_match_kron_sums(name, backend):
+    built, oracle = _COINCIDENT[name]
+    assert _literal(built, backend) == _literal(oracle, backend)
+
+
+def test_tensor_builders_make_no_kron_and_share_no_memory(monkeypatch):
+    # results are marked read-only once cached (`Chain.site_r`); one that
+    # shared memory with a module tensor would freeze or change it
+    tensors = [v for obj in vars(rmatrix).values()
+               for v in (obj.values() if isinstance(obj, dict) else (obj,))
+               if isinstance(v, np.ndarray)]
+    assert len(tensors) >= 10
+
+    def no_kron(self, other):
+        raise AssertionError("Mat.kron called")
+
+    monkeypatch.setattr(Mat, "kron", no_kron)
+    x, y = Fr(17, 3), Fr(5, 2)
+    for px, py, backend in ((x, y, EXACT), (complex(x), complex(y), FLOAT)):
+        mats = [build(px, py) for build, _ in _TENSOR_BUILT.values()]
+        mats += [build(backend) for build, _ in _COINCIDENT.values()]
+        for m in mats:
+            assert m.mat.backend == backend
+            for t in tensors:
+                assert not np.shares_memory(m.mat.num, t)
+    for t in tensors:
+        assert t.dtype == np.int64
+        with pytest.raises(ValueError):
+            t[0, 0] = 7
