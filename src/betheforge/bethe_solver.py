@@ -1,4 +1,12 @@
-"""Numerical solution of the Bethe-condition systems on the float backend.
+"""Eigenvalues and Bethe conditions, and their numerical solution on the
+float backend.
+
+Each model's eigenvalue is written once, as a table of terms in `MODELS`:
+a weight lam_i(x) times set products of the root families at shifted
+arguments.  Each family's Bethe condition equates two of those terms at
+each of its roots (the cancellation of E's poles there), and the factors
+of its pole-clearing multiplier are derived from the same two terms, so
+the eigenvalue, the conditions and the clearing cannot drift apart.
 
 Damped Newton iteration with a finite-difference Jacobian, treated as a
 real system in the real/imaginary parts (the residuals are not kept
@@ -28,11 +36,10 @@ import numpy as np
 
 from .chain import Chain, check_dense_capacity
 from .linalg import ZeroVectorError
-from .nested_gl import gl2_eigenvalue, gl2_residuals, gl2_vector, \
-    gl3_eigenvalue, gl3_residuals, gl3_vector
-from .nested_sp4 import Sp4BetheConfig, sp4_bethe_vector, sp4_eigenvalue, \
-    sp4_residuals
-from .scalars import PoleError
+from .nested_gl import gl2_vector, gl3_vector
+from .nested_sp4 import Sp4BetheConfig, sp4_bethe_vector
+from .scalars import F2_left, F2_right, F_left, F_right, PoleError, \
+    _residual_pair, _roots
 
 FD_STEP = 1e-7
 DEDUP_TOL = 1e-6
@@ -42,42 +49,78 @@ RUNAWAY_RADIUS = 1e3
 LEAK_TOL = 1e-10
 
 
-def _sp4_config(roots):
-    return Sp4BetheConfig(roots["u"], roots["v"], roots["w"])
-
-
 # One entry per solved model.  `unknowns` are the root families in
 # flat-vector order, one count each in `SolveProblem.counts`: gl2 (N,),
 # gl3 (M, Nu) for M outer roots v and Nu inner roots u, sp4 (N, P, Q).
-# `residuals` gives {family: [(raw, relative)]}; it, `vector` and
-# `eigenvalue` are lambdas over module-level names, so a patch of those
-# names (as the benchmark's tracer makes) is seen.  `clearing` holds each
-# condition family in residual order as (family, divide, *factors), for
-# `_clearing_factors`.
+# `terms` is E(x): a sum of terms (i, factors), each lam_i(x) times its
+# factors in the order listed, a factor (product, family, s) being that
+# set product (`scalars`) of the family's roots at x + s.  `conditions`
+# holds each family's condition, in residual order, as (lhs, rhs, z-shifts,
+# divide): at each root r those two terms agree at x = r with r dropped
+# from its family.  `clearing` is derived from them (`_derived_clearing`);
+# the z-shifts and `divide` give its factors in the inhomogeneities, which
+# come from the weights and so from no set product (`_clearing_factors`).
+# `vector` is a lambda over module-level names, so a patch of those names
+# (as the benchmark's tracer makes) is seen.
 MODELS = {
     "gl2": dict(
         unknowns=("u",),
-        residuals=lambda ch, r: {"u": gl2_residuals(ch, r["u"])},
         vector=lambda ch, r: gl2_vector(ch, r["u"]),
-        eigenvalue=lambda ch, x, r: gl2_eigenvalue(ch, x, r["u"]),
-        clearing=(("u", False, ("z", 1), ("u", 0)),)),
+        terms=((1, (("F_left", "u", 0),)),
+               (2, (("F_right", "u", 0),))),
+        conditions={"u": (0, 1, (1,), False)}),
     "gl3": dict(
         unknowns=("v", "u"),
-        residuals=lambda ch, r: gl3_residuals(ch, r["u"], r["v"]),
         vector=lambda ch, r: gl3_vector(ch, r["u"], r["v"]),
-        eigenvalue=lambda ch, x, r: gl3_eigenvalue(ch, x, r["u"], r["v"]),
-        clearing=(("u", False, ("z", 1), ("v", 0), ("u", 0)),
-                  ("v", True, ("z", 1), ("u", 0), ("v", 0)))),
+        terms=((1, (("F_left", "u", 0),)),
+               (2, (("F_left", "v", 0), ("F_right", "u", 0))),
+               (3, (("F_right", "v", 0),))),
+        conditions={"u": (0, 1, (1,), False), "v": (2, 1, (1,), True)}),
     "sp4": dict(
         unknowns=("u", "v", "w"),
-        residuals=lambda ch, r: sp4_residuals(ch, _sp4_config(r)),
-        vector=lambda ch, r: sp4_bethe_vector(ch, _sp4_config(r)),
-        eigenvalue=lambda ch, x, r: sp4_eigenvalue(ch, x, _sp4_config(r)),
-        clearing=(
-            ("u", True, ("z", 1), ("u", 0), ("v", 0, 2), ("w", -2, 0)),
-            ("v", False, ("z", 1), ("u", 0), ("v", 0), ("w", -2)),
-            ("w", True, ("z", 1, 3), ("u", 0), ("v", 2), ("w", 0)))),
+        vector=lambda ch, r: sp4_bethe_vector(
+            ch, Sp4BetheConfig(r["u"], r["v"], r["w"])),
+        terms=((1, (("F2_left", "u", 0), ("F_right", "v", 0),
+                    ("F_right", "w", -2))),
+               (2, (("F_left", "v", 0), ("F_left", "w", -2))),
+               (-1, (("F2_right", "u", 0), ("F_left", "v", 2),
+                     ("F_left", "w", 0))),
+               (-2, (("F_right", "v", 2), ("F_right", "w", 0)))),
+        conditions={"u": (0, 2, (1,), True), "v": (0, 1, (1,), False),
+                    "w": (2, 3, (1, 3), True)}),
 }
+
+# The set products a term may name, each with whether it takes the root set
+# first.  A module-level table, so the tracer's patch of the functions is
+# seen.
+_SET_PRODUCTS = {"F_left": (F_left, True), "F_right": (F_right, False),
+                 "F2_left": (F2_left, True), "F2_right": (F2_right, False)}
+
+
+def _derived_clearing(model):
+    """The `clearing` spec of `_clearing_factors`: per condition, in residual
+    order, (family, divide, ("z", *z-shifts), (other, *shifts), ...).
+
+    A factor of either term on family `other` at shift s has its poles at
+    r + s = o for the roots o of `other`, so it contributes (r + s) - o;
+    each family enters once, in `unknowns` order, with its distinct shifts
+    in increasing order.
+    """
+    out = []
+    for fam, (lhs, rhs, z_shifts, divide) in model["conditions"].items():
+        shifts = {}
+        for _, factors in (model["terms"][lhs], model["terms"][rhs]):
+            for _, other, s in factors:
+                shifts.setdefault(other, set()).add(s)
+        out.append((fam, divide, ("z", *z_shifts),
+                    *((other, *sorted(shifts[other]))
+                      for other in model["unknowns"] if other in shifts)))
+    return tuple(out)
+
+
+for _entry in MODELS.values():
+    _entry["clearing"] = _derived_clearing(_entry)
+del _entry
 
 
 @dataclass
@@ -93,6 +136,11 @@ class SolveProblem:
     starts: int = 20
     seed: int = 0
     guesses: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.model != self.chain.spec.model:
+            raise ValueError(f"model {self.model!r} does not match the "
+                             f"chain's model {self.chain.spec.model!r}")
 
     def n_unknowns(self):
         return sum(self.counts)
@@ -128,10 +176,43 @@ def _split_roots(problem: SolveProblem, vec):
     return roots
 
 
-def _raw_rel(problem: SolveProblem, roots):
+def _root_sets(problem: SolveProblem, roots):
+    """Each family's roots as a RootSet, which refuses coincident roots."""
+    unknowns = MODELS[problem.model]["unknowns"]
+    return {fam: _roots(roots[fam]) for fam in unknowns}
+
+
+def _term(chain: Chain, term, x, sets):
+    """One eigenvalue term at x: lam_i(x) times its set products."""
+    i, factors = term
+    out = chain.lam(i, x)
+    for product, fam, s in factors:
+        fn, roots_first = _SET_PRODUCTS[product]
+        y = _shifted(x, s)
+        out = out * (fn(sets[fam], y) if roots_first else fn(y, sets[fam]))
+    return out
+
+
+def _residuals(problem: SolveProblem, roots):
+    """{family: [(raw, relative)]}: each family's condition at each of its
+    roots r, the lhs term against the rhs term at x = r with r dropped from
+    its family, families in residual order."""
     model = MODELS[problem.model]
-    res = model["residuals"](problem.chain, roots)
-    pairs = [p for fam, *_ in model["clearing"] for p in res[fam]]
+    terms = model["terms"]
+    sets = _root_sets(problem, roots)
+    out = {}
+    for fam, (lhs, rhs, *_) in model["conditions"].items():
+        out[fam] = []
+        for k, r in enumerate(sets[fam]):
+            rest = {**sets, fam: sets[fam].removing(k)}
+            out[fam].append(_residual_pair(
+                _term(problem.chain, terms[lhs], r, rest),
+                _term(problem.chain, terms[rhs], r, rest)))
+    return out
+
+
+def _raw_rel(problem: SolveProblem, roots):
+    pairs = [p for fam in _residuals(problem, roots).values() for p in fam]
     return ([complex(a) for a, _ in pairs], [complex(b) for _, b in pairs])
 
 
@@ -351,7 +432,11 @@ def build_state(problem: SolveProblem, roots):
 
 
 def eigenvalue(problem: SolveProblem, x, roots):
-    return MODELS[problem.model]["eigenvalue"](problem.chain, x, roots)
+    """E(x) at `roots`: the model's terms summed in table order."""
+    sets = _root_sets(problem, roots)
+    first, *rest = (_term(problem.chain, term, x, sets)
+                    for term in MODELS[problem.model]["terms"])
+    return sum(rest, first)
 
 
 def verify_solution(problem: SolveProblem, result: SolveResult, samples):

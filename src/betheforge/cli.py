@@ -23,8 +23,6 @@ from .chain import (CapacityError, Chain, chain_spec_from_dict,
                     check_commuting, check_rtt)
 from .harness import exit_code, format_table, report, run_suite
 from .linalg import EXACT, FLOAT, ZeroVectorError
-from .nested_gl import gl3_residuals
-from .nested_sp4 import Sp4BetheConfig, sp4_residuals
 from . import bethe_solver as solver
 from .rmatrix import check_unitarity, check_ybe
 from .scalars import PoleError, parse_scalar
@@ -74,12 +72,18 @@ def _cmd_chain_check(args):
     return 0 if ok else 1
 
 
-def _dense_check(out, ch, model, roots, res, n_samples):
+def _fixed_roots(ch, model, roots):
+    """The problem of fixed `roots` on `ch` (which must be a `model` chain)
+    and its Bethe residuals."""
+    counts = tuple(len(roots[fam]) for fam in solver.MODELS[model]["unknowns"])
+    prob = solver.SolveProblem(ch, model, counts)
+    return prob, solver._residuals(prob, roots)
+
+
+def _dense_check(out, prob, roots, res, n_samples):
     """Add the dense-oracle verdict for `roots` at `n_samples` points to
     `out`."""
     samples = [complex(3.1 + 0.7j) + k for k in range(n_samples)]
-    counts = tuple(len(roots[fam]) for fam in solver.MODELS[model]["unknowns"])
-    prob = solver.SolveProblem(ch, model, counts)
     result = solver.SolveResult(
         roots, max([0.0] + [abs(r) for vals in res.values() for _, r in vals]),
         0, True, 1.0)
@@ -96,35 +100,31 @@ def _dense_check(out, ch, model, roots, res, n_samples):
 
 def _cmd_gl3(args):
     ch = _load_chain(args.spec, FLOAT)
-    u = _parse_roots(args.u)
-    v = _parse_roots(args.v)
-    out = {"u": [[z.real, z.imag] for z in u],
-           "v": [[z.real, z.imag] for z in v]}
-    res = gl3_residuals(ch, u, v)
+    roots = {"u": _parse_roots(args.u), "v": _parse_roots(args.v)}
+    prob, res = _fixed_roots(ch, "gl3", roots)
+    out = {fam: [[z.real, z.imag] for z in roots[fam]] for fam in ("u", "v")}
     out["residuals"] = {fam: [abs(r) for _, r in vals]
                         for fam, vals in res.items()}
     if args.check:
-        _dense_check(out, ch, "gl3", {"u": u, "v": v}, res, 1)
+        _dense_check(out, prob, roots, res, 1)
     print(json.dumps(out))
     return 0
 
 
 def _cmd_sp4(args):
     ch = _load_chain(args.spec, FLOAT)
-    cfg = Sp4BetheConfig(_parse_roots(args.u), _parse_roots(args.v),
-                         _parse_roots(args.w))
-    res = sp4_residuals(ch, cfg)
+    roots = {"u": _parse_roots(args.u), "v": _parse_roots(args.v),
+             "w": _parse_roots(args.w)}
+    prob, res = _fixed_roots(ch, "sp4", roots)
     out = {
-        "config": {k: [[z.real, z.imag] for z in getattr(cfg, a)]
-                   for k, a in (("u", "uvec"), ("v", "vbar"), ("w", "wbar"))},
+        "config": {fam: [[z.real, z.imag] for z in vals]
+                   for fam, vals in roots.items()},
         "residuals": {fam: [abs(r) for _, r in vals]
                       for fam, vals in res.items()},
         "backend": "float",
     }
     if args.verify:
-        _dense_check(out, ch, "sp4",
-                     {"u": cfg.uvec, "v": cfg.vbar, "w": cfg.wbar}, res,
-                     args.samples)
+        _dense_check(out, prob, roots, res, args.samples)
     print(json.dumps(out))
     return 0
 

@@ -14,7 +14,9 @@ legs (`nested_sp4.hatted_factors` with `minus_roots=()`): the same
 Rhat(+) dual-leg dressing and the same T^a_b (a, b = 1, 2) block.  Its
 reduced vacuum is f^2 (x) ... (x) f^2 (x) omega with weights
 mu1 = lam1/F(v-bar, x), mu2 = lam2.  The inner level is a plain gl(2)
-ansatz in the dressed generators, creation operator That^1_2.
+ansatz in the dressed generators, creation operator That^1_2.  The
+eigenvalues and Bethe conditions of both models are term tables in
+`bethe_solver.MODELS`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .linalg import Mat, braid_residual, check_nonzero, residual
 from .nested_sp4 import (hatted_block_apply, hatted_braid_factors, omega_hat,
                          pairing_matrix)
 from .rmatrix import build_gl_r
-from .scalars import F_left, F_right, RootSet, _residual_pair, _roots, g
+from .scalars import F_left, F_right, RootSet, _roots, g
 
 
 # ---------------------------------------------------------------------
@@ -39,23 +41,6 @@ def gl2_vector(chain: Chain, roots):
     for u in reversed(roots.values):
         vec = chain.t(1, 2, u) @ vec
     return check_nonzero(vec, "gl2 Bethe vector")
-
-
-def gl2_eigenvalue(chain: Chain, x, roots):
-    roots = _roots(roots)
-    return chain.lam(1, x) * F_left(roots, x) + chain.lam(2, x) * F_right(x, roots)
-
-
-def gl2_residuals(chain: Chain, roots):
-    """Per-root Bethe residuals, (raw, relative) pairs."""
-    roots = _roots(roots)
-    out = []
-    for i, u in enumerate(roots):
-        rest = roots.removing(i)
-        lhs = chain.lam(1, u) * F_left(rest, u)
-        rhs = chain.lam(2, u) * F_right(u, rest)
-        out.append(_residual_pair(lhs, rhs))
-    return out
 
 
 def _ordered_creation(chain: Chain, values):
@@ -129,30 +114,6 @@ def gl3_vector(chain: Chain, uroots, vvec):
     phi = gl3_inner_state(chain, uroots, vvec)
     pairing = pairing_matrix(chain, list(enumerate(vvec)), lower=(3,))
     return check_nonzero(pairing @ phi, "gl3 Bethe vector")
-
-
-def gl3_eigenvalue(chain: Chain, x, uroots, vroots):
-    u, v = _roots(uroots), _roots(vroots)
-    return (chain.lam(1, x) * F_left(u, x)
-            + chain.lam(2, x) * F_right(x, u) * F_left(v, x)
-            + chain.lam(3, x) * F_right(x, v))
-
-
-def gl3_residuals(chain: Chain, uroots, vroots):
-    """Both Bethe families, (raw, relative) pairs keyed "u" and "v"."""
-    u, v = _roots(uroots), _roots(vroots)
-    fam_u, fam_v = [], []
-    for i, uk in enumerate(u):
-        rest = u.removing(i)
-        lhs = chain.lam(1, uk) * F_left(rest, uk)
-        rhs = chain.lam(2, uk) * F_left(v, uk) * F_right(uk, rest)
-        fam_u.append(_residual_pair(lhs, rhs))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        lhs = chain.lam(3, vr) * F_right(vr, rest)
-        rhs = chain.lam(2, vr) * F_left(rest, vr) * F_right(vr, u)
-        fam_v.append(_residual_pair(lhs, rhs))
-    return {"u": fam_u, "v": fam_v}
 
 
 def gl3_hatted_rtt_residual(chain: Chain, vvec, x, y):

@@ -23,9 +23,10 @@ with weights
     mu_-1 = lam_-1(x) F(x+1, u-bar)     mu_-2 = lam_-2(x)/F(x, u-bar).
 
 The second-level states are That^2_1(v-bar) That^{-1}_{-2}(w-bar) OmegaHat;
-pairing them back through B gives the final eigenvectors, whose eigenvalue
-and three root-family conditions are evaluated with pole-safe double-step
-products where one root set enters at two arguments a unit apart.
+pairing them back through B gives the final eigenvectors.  Their eigenvalue
+and three root-family conditions, with pole-safe double-step products where
+one root set enters at two arguments a unit apart, are a term table in
+`bethe_solver.MODELS`.
 
 Equal-argument dressing factors are always taken from their explicit
 summed specializations, never from the generic formulas at the pole.
@@ -46,12 +47,7 @@ from .linalg import (EXACT, Mat, ZeroVectorError, apply_on_legs,
                      rref_basis)
 from .rmatrix import (MINUS, PLUS, build_block_r, build_dual_pp, build_hatted_r,
                       build_tilde_r, coincident_block_r, coincident_hatted_r)
-from .scalars import (F2_left, F2_right, F_left, F_right, RootSet, _residual_pair,
-                      _roots, g)
-
-
-class VacuumMismatchError(Exception):
-    """A reduced-vacuum relation failed: triangularity conventions are off."""
+from .scalars import F_left, F_right, RootSet, _roots, g
 
 
 # ---------------------------------------------------------------------
@@ -308,20 +304,6 @@ def mu_weight(chain: Chain, i, x, uroots):
     raise ValueError(f"no weight index {i}")
 
 
-def reduced_vacuum(chain: Chain, uvec):
-    """OmegaHat plus its weight evaluator; checks both annihilations."""
-    vals = tuple(uvec)
-    om = omega_hat(chain, (0,) * 2 * len(vals))
-    x0 = chain._scan_points(1)[0]
-    for sign, ik in (("+", (1, 2)), ("-", (2, 1))):
-        r = hatted_block_apply(chain, sign, ik, x0, vals, om).max_abs()
-        zero = (r == 0) if chain.backend == EXACT else r < 1e-10
-        if not zero:
-            raise VacuumMismatchError(
-                f"annihilation entry {sign}{ik} fails on the reduced vacuum: {r}")
-    return om, (lambda i, x: mu_weight(chain, i, x, vals))
-
-
 def reduced_vacuum_residuals(chain: Chain, uvec, x):
     """All six reduced-vacuum relations at the point x."""
     vals = tuple(uvec)
@@ -530,7 +512,7 @@ def tilde_offshell_residuals(chain: Chain, uvec, x, vbar, wbar):
 
 
 # ---------------------------------------------------------------------
-# final eigenvectors, eigenvalue, conditions
+# final eigenvectors and the second-level eigenvalues
 # ---------------------------------------------------------------------
 
 
@@ -569,43 +551,6 @@ def prop_eigenvalue(chain: Chain, sign, x, cfg: Sp4BetheConfig):
                 + chain.lam(2, x) * F_left(v, x) * F_left(w, x - 2) / F_left(u, x))
     return (chain.lam(-1, x) * F_right(x + 1, u) * F_left(v, x + 2) * F_left(w, x)
             + chain.lam(-2, x) * F_right(x + 2, v) * F_right(x, w) / F_right(x, u))
-
-
-def sp4_eigenvalue(chain: Chain, x, cfg: Sp4BetheConfig):
-    """E(x) = lam1 FF(u,x) F(x,v) F(x-2,w) + lam2 F(v,x) F(w,x-2)
-            + lam-1 FF(x,u) F(v,x+2) F(w,x) + lam-2 F(x+2,v) F(x,w),
-    with FF the pole-safe double-step products."""
-    u, v, w = RootSet(cfg.uvec), RootSet(cfg.vbar), RootSet(cfg.wbar)
-    return (chain.lam(1, x) * F2_left(u, x) * F_right(x, v) * F_right(x - 2, w)
-            + chain.lam(2, x) * F_left(v, x) * F_left(w, x - 2)
-            + chain.lam(-1, x) * F2_right(x, u) * F_left(v, x + 2) * F_left(w, x)
-            + chain.lam(-2, x) * F_right(x + 2, v) * F_right(x, w))
-
-
-def sp4_residuals(chain: Chain, cfg: Sp4BetheConfig):
-    """The three Bethe families, (raw, relative) pairs keyed "u", "v", "w"."""
-    u, v, w = RootSet(cfg.uvec), RootSet(cfg.vbar), RootSet(cfg.wbar)
-    fam_u, fam_v, fam_w = [], [], []
-    for kk, uk in enumerate(u):
-        rest = u.removing(kk)
-        lhs = (chain.lam(1, uk) * F2_left(rest, uk)
-               * F_right(uk, v) * F_right(uk - 2, w))
-        rhs = (chain.lam(-1, uk) * F2_right(uk, rest)
-               * F_left(v, uk + 2) * F_left(w, uk))
-        fam_u.append(_residual_pair(lhs, rhs))
-    for r, vr in enumerate(v):
-        rest = v.removing(r)
-        lhs = (chain.lam(1, vr) * F2_left(u, vr)
-               * F_right(vr, rest) * F_right(vr - 2, w))
-        rhs = chain.lam(2, vr) * F_left(rest, vr) * F_left(w, vr - 2)
-        fam_v.append(_residual_pair(lhs, rhs))
-    for s, ws in enumerate(w):
-        rest = w.removing(s)
-        lhs = (chain.lam(-1, ws) * F2_right(ws, u)
-               * F_left(v, ws + 2) * F_left(rest, ws))
-        rhs = chain.lam(-2, ws) * F_right(ws + 2, v) * F_right(ws, rest)
-        fam_w.append(_residual_pair(lhs, rhs))
-    return {"u": fam_u, "v": fam_v, "w": fam_w}
 
 
 def tilde_eigen_residuals(chain: Chain, cfg: Sp4BetheConfig, x):

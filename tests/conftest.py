@@ -16,8 +16,11 @@ and dressing R-matrices out as sums of Kronecker products of matrix units,
 one term per index pair, the oracle of the structure-tensor builders.
 `written_out_split_roots`, `written_out_raw_rel` and
 `written_out_clearing_factors` are the solver's per-model root split,
-residual order and pole-clearing products written out model by model, the
-oracle of the solver's `MODELS` table.
+residual order and pole-clearing products written out model by model, and
+the `written_out_*_eigenvalue` / `written_out_*_residuals` functions each
+model's eigenvalue and Bethe conditions as explicit products: together the
+oracle of the solver's `MODELS` table.  `fixed_roots` evaluates that table
+at given roots.
 """
 
 from fractions import Fraction as Fr
@@ -26,13 +29,13 @@ from math import lcm
 import numpy as np
 from hypothesis import settings
 
+from betheforge import bethe_solver
 from betheforge.linalg import EXACT, FLOAT, Mat, lift, residual
-from betheforge.nested_gl import gl2_residuals, gl3_residuals
-from betheforge.nested_sp4 import Sp4BetheConfig, hatted_factors, \
-    sp4_residuals
+from betheforge.nested_sp4 import hatted_factors
 from betheforge.rmatrix import (MINUS, PLUS, SP4_SPACE, TILDE_SLOTS, eps,
                                 recip, unit_E, unit_F)
-from betheforge.scalars import f, g, h, is_exact, k
+from betheforge.scalars import (F2_left, F2_right, F_left, F_right, RootSet,
+                                _residual_pair, _roots, f, g, h, is_exact, k)
 
 settings.register_profile("betheforge", derandomize=True, deadline=None,
                           max_examples=15, database=None)
@@ -119,6 +122,117 @@ def grid_weights(chain, x):
     return out
 
 
+def fixed_roots(chain, **roots):
+    """The eigenvalue x -> E(x) and the Bethe residuals {family: [(raw,
+    relative)]} of the package's term table on `chain` at `roots` (one
+    keyword per root family; families not given are empty)."""
+    unknowns = bethe_solver.MODELS[chain.spec.model]["unknowns"]
+    roots = {fam: tuple(roots.get(fam, ())) for fam in unknowns}
+    prob = bethe_solver.SolveProblem(chain, chain.spec.model,
+                                     tuple(len(roots[fam]) for fam in unknowns))
+    return (lambda x: bethe_solver.eigenvalue(prob, x, roots),
+            bethe_solver._residuals(prob, roots))
+
+
+def written_out_gl2_eigenvalue(chain, x, roots):
+    roots = _roots(roots)
+    return chain.lam(1, x) * F_left(roots, x) + chain.lam(2, x) * F_right(x, roots)
+
+
+def written_out_gl2_residuals(chain, roots):
+    """Per-root Bethe residuals, (raw, relative) pairs."""
+    roots = _roots(roots)
+    out = []
+    for i, u in enumerate(roots):
+        rest = roots.removing(i)
+        lhs = chain.lam(1, u) * F_left(rest, u)
+        rhs = chain.lam(2, u) * F_right(u, rest)
+        out.append(_residual_pair(lhs, rhs))
+    return out
+
+
+def written_out_gl3_eigenvalue(chain, x, uroots, vroots):
+    u, v = _roots(uroots), _roots(vroots)
+    return (chain.lam(1, x) * F_left(u, x)
+            + chain.lam(2, x) * F_right(x, u) * F_left(v, x)
+            + chain.lam(3, x) * F_right(x, v))
+
+
+def written_out_gl3_residuals(chain, uroots, vroots):
+    """Both Bethe families, (raw, relative) pairs keyed "u" and "v"."""
+    u, v = _roots(uroots), _roots(vroots)
+    fam_u, fam_v = [], []
+    for i, uk in enumerate(u):
+        rest = u.removing(i)
+        lhs = chain.lam(1, uk) * F_left(rest, uk)
+        rhs = chain.lam(2, uk) * F_left(v, uk) * F_right(uk, rest)
+        fam_u.append(_residual_pair(lhs, rhs))
+    for r, vr in enumerate(v):
+        rest = v.removing(r)
+        lhs = chain.lam(3, vr) * F_right(vr, rest)
+        rhs = chain.lam(2, vr) * F_left(rest, vr) * F_right(vr, u)
+        fam_v.append(_residual_pair(lhs, rhs))
+    return {"u": fam_u, "v": fam_v}
+
+
+def written_out_sp4_eigenvalue(chain, x, uvec, vbar, wbar):
+    """E(x) = lam1 FF(u,x) F(x,v) F(x-2,w) + lam2 F(v,x) F(w,x-2)
+            + lam-1 FF(x,u) F(v,x+2) F(w,x) + lam-2 F(x+2,v) F(x,w),
+    with FF the pole-safe double-step products."""
+    u, v, w = RootSet(uvec), RootSet(vbar), RootSet(wbar)
+    return (chain.lam(1, x) * F2_left(u, x) * F_right(x, v) * F_right(x - 2, w)
+            + chain.lam(2, x) * F_left(v, x) * F_left(w, x - 2)
+            + chain.lam(-1, x) * F2_right(x, u) * F_left(v, x + 2) * F_left(w, x)
+            + chain.lam(-2, x) * F_right(x + 2, v) * F_right(x, w))
+
+
+def written_out_sp4_residuals(chain, uvec, vbar, wbar):
+    """The three Bethe families, (raw, relative) pairs keyed "u", "v", "w"."""
+    u, v, w = RootSet(uvec), RootSet(vbar), RootSet(wbar)
+    fam_u, fam_v, fam_w = [], [], []
+    for kk, uk in enumerate(u):
+        rest = u.removing(kk)
+        lhs = (chain.lam(1, uk) * F2_left(rest, uk)
+               * F_right(uk, v) * F_right(uk - 2, w))
+        rhs = (chain.lam(-1, uk) * F2_right(uk, rest)
+               * F_left(v, uk + 2) * F_left(w, uk))
+        fam_u.append(_residual_pair(lhs, rhs))
+    for r, vr in enumerate(v):
+        rest = v.removing(r)
+        lhs = (chain.lam(1, vr) * F2_left(u, vr)
+               * F_right(vr, rest) * F_right(vr - 2, w))
+        rhs = chain.lam(2, vr) * F_left(rest, vr) * F_left(w, vr - 2)
+        fam_v.append(_residual_pair(lhs, rhs))
+    for s, ws in enumerate(w):
+        rest = w.removing(s)
+        lhs = (chain.lam(-1, ws) * F2_right(ws, u)
+               * F_left(v, ws + 2) * F_left(rest, ws))
+        rhs = chain.lam(-2, ws) * F_right(ws + 2, v) * F_right(ws, rest)
+        fam_w.append(_residual_pair(lhs, rhs))
+    return {"u": fam_u, "v": fam_v, "w": fam_w}
+
+
+def written_out_eigenvalue(problem, x, roots):
+    """The model's written-out eigenvalue at x."""
+    ch = problem.chain
+    if problem.model == "gl2":
+        return written_out_gl2_eigenvalue(ch, x, roots["u"])
+    if problem.model == "gl3":
+        return written_out_gl3_eigenvalue(ch, x, roots["u"], roots["v"])
+    return written_out_sp4_eigenvalue(ch, x, roots["u"], roots["v"],
+                                      roots["w"])
+
+
+def written_out_residuals(problem, roots):
+    """The model's written-out residuals, {family: [(raw, relative)]}."""
+    ch = problem.chain
+    if problem.model == "gl2":
+        return {"u": written_out_gl2_residuals(ch, roots["u"])}
+    if problem.model == "gl3":
+        return written_out_gl3_residuals(ch, roots["u"], roots["v"])
+    return written_out_sp4_residuals(ch, roots["u"], roots["v"], roots["w"])
+
+
 def written_out_split_roots(problem, vec):
     """Flat complex vector -> per-family root tuples."""
     counts = problem.counts
@@ -134,16 +248,8 @@ def written_out_split_roots(problem, vec):
 
 def written_out_raw_rel(problem, roots):
     """Raw and relative residuals, families in the solver's order."""
-    ch = problem.chain
-    if problem.model == "gl2":
-        pairs = gl2_residuals(ch, roots["u"])
-    elif problem.model == "gl3":
-        res = gl3_residuals(ch, roots["u"], roots["v"])
-        pairs = res["u"] + res["v"]
-    else:
-        res = sp4_residuals(ch, Sp4BetheConfig(roots["u"], roots["v"],
-                                               roots["w"]))
-        pairs = res["u"] + res["v"] + res["w"]
+    pairs = [p for fam in written_out_residuals(problem, roots).values()
+             for p in fam]
     return ([complex(a) for a, _ in pairs], [complex(b) for _, b in pairs])
 
 
@@ -186,11 +292,11 @@ def written_out_clearing_factors(problem, roots):
             d = 1.0 + 0j
             for z in zs:
                 d *= vr - z + 1
-            for ul in u:
-                d *= vr - ul
             for l, vl in enumerate(v):
                 if l != r:
                     d *= vr - vl
+            for ul in u:
+                d *= vr - ul
             out.append(zdiv(vr, d))
     else:
         for k, uk in enumerate(u):

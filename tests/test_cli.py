@@ -116,6 +116,22 @@ def test_solve_command_gl3_counts_outer_roots_with_p(capsys, tmp_path):
         assert {f: len(r) for f, r in res["roots"].items()} == {"v": 1, "u": 2}
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", "sp4", "--P", "1"],
+    ["sp4", "--v", "-0.25"],
+    ["gl3", "--u", "-0.25", "--check"]])
+def test_model_other_than_the_chains_is_refused(capsys, tmp_path, argv):
+    # on a gl2 chain, sp4's v condition "converged" at -0.25 and the sp4
+    # command failed inside the weights; each now names both models
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"model": "gl2", "length": 2,
+                                "inhomogeneities": ["0", "1/2"]}))
+    code, out = _run(capsys, argv[:1] + ["--spec", str(path)] + argv[1:])
+    model = "sp4" if argv[0] == "solve" else argv[0]
+    error = json.loads(out)["error"]
+    assert code == 2 and f"'{model}'" in error and "'gl2'" in error
+
+
 def test_verify_command(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out = _run(capsys, ["verify", "--filter", "unitarity.*",

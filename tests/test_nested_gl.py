@@ -9,14 +9,12 @@ import pytest
 from betheforge.chain import (Chain, ChainSpec, aux_matrix,
                               default_inhomogeneities)
 from betheforge.linalg import EXACT, Mat, ZeroVectorError, lift, residual
-from betheforge.nested_gl import (gl2_eigenvalue,
-                                  gl2_exchange_residuals, gl2_residuals,
-                                  gl2_vector, gl3_eigenvalue,
+from betheforge.nested_gl import (gl2_exchange_residuals, gl2_vector,
                                   gl3_hatted_rtt_residual, gl3_inner_state,
-                                  gl3_mu, gl3_residuals,
-                                  gl3_vacuum_relation_residuals, gl3_vector)
+                                  gl3_mu, gl3_vacuum_relation_residuals,
+                                  gl3_vector)
 from betheforge.nested_sp4 import omega_hat, pairing_matrix
-from conftest import hatted_matrix, rational_mat
+from conftest import fixed_roots, hatted_matrix, rational_mat
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +31,9 @@ def test_gl2_empty_configuration(gl2_chain):
     st = gl2_vector(gl2_chain, [])
     assert residual(st, gl2_chain.vacuum().omega) == 0
     x = Fr(3)
-    e = gl2_eigenvalue(gl2_chain, x, [])
-    assert e == gl2_chain.lam(1, x) + gl2_chain.lam(2, x)
-    assert gl2_residuals(gl2_chain, []) == []
+    eigenvalue, res = fixed_roots(gl2_chain)
+    assert eigenvalue(x) == gl2_chain.lam(1, x) + gl2_chain.lam(2, x)
+    assert res == {"u": []}
 
 
 def test_gl2_creation_order_independence(gl2_chain):
@@ -67,11 +65,12 @@ def _clear_points(rng, n, taken=(Fr(0), Fr(1, 2))):
 def test_gl2_exact_root_gives_exact_eigenvector(gl2_chain):
     # lam1(u) = lam2(u) linearizes to u = (z1 + z2 - 1)/2 = -1/4 here
     u = Fr(-1, 4)
-    (raw, rel) = gl2_residuals(gl2_chain, [u])[0]
+    eigenvalue, res = fixed_roots(gl2_chain, u=[u])
+    (raw, rel), = res["u"]
     assert raw == 0 and rel == 0
     psi = gl2_vector(gl2_chain, [u])
     for x in (Fr(3), Fr(17, 4), Fr(-7, 3)):
-        e = gl2_eigenvalue(gl2_chain, x, [u])
+        e = eigenvalue(x)
         assert residual(gl2_chain.transfer(x) @ psi, psi.scale(e)) == 0
 
 
@@ -136,16 +135,16 @@ def test_gl3_trivial_and_null_configurations(gl3_chain):
     st = gl3_vector(gl3_chain, [], [])
     assert residual(st, gl3_chain.vacuum().omega) == 0
     x = Fr(3)
-    vac_e = gl3_eigenvalue(gl3_chain, x, [], [])
+    vac_e = fixed_roots(gl3_chain)[0](x)
     assert vac_e == sum(gl3_chain.lam(i, x) for i in (1, 2, 3))
     # one outer root with no inner roots pairs onto the vanishing entry
     with pytest.raises(ZeroVectorError):
         gl3_vector(gl3_chain, [], [Fr(7, 3)])
     # its condition holds identically and its eigenvalue collapses to the
     # vacuum one (f(v,x) + f(x,v) = 2 with equal middle weights)
-    res = gl3_residuals(gl3_chain, [], [Fr(7, 3)])
+    eigenvalue, res = fixed_roots(gl3_chain, v=[Fr(7, 3)])
     assert res["v"][0][0] == 0
-    assert gl3_eigenvalue(gl3_chain, x, [], [Fr(7, 3)]) == vac_e
+    assert eigenvalue(x) == vac_e
 
 
 def test_gl3_inner_state_structure(gl3_chain):
@@ -169,11 +168,11 @@ def test_gl3_inner_state_structure(gl3_chain):
 def test_gl3_exact_inner_eigenvector(gl3_chain):
     # M = 0 reduces to the gl2-block ansatz inside gl3
     u = Fr(-1, 4)
-    res = gl3_residuals(gl3_chain, [u], [])
+    eigenvalue, res = fixed_roots(gl3_chain, u=[u])
     assert res["u"][0][0] == 0
     psi = gl3_vector(gl3_chain, [u], [])
     for x in (Fr(3), Fr(17, 4)):
-        e = gl3_eigenvalue(gl3_chain, x, [u], [])
+        e = eigenvalue(x)
         assert residual(gl3_chain.transfer(x) @ psi, psi.scale(e)) == 0
 
 

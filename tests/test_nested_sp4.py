@@ -18,15 +18,14 @@ from betheforge.nested_sp4 import (BLOCK_SECTORS, Sp4BetheConfig,
                                    multi_exchange_residual,
                                    offblock_annihilation_residual, omega_hat,
                                    pairing_matrix, prop_eigenvalue,
-                                   reduced_vacuum, reduced_vacuum_residuals,
-                                   sp4_bethe_vector, sp4_eigenvalue,
-                                   sp4_residuals, tilde_creation_residuals,
+                                   reduced_vacuum_residuals,
+                                   sp4_bethe_vector, tilde_creation_residuals,
                                    tilde_eigen_residuals,
                                    tilde_offshell_residuals,
                                    tilde_rtt_residual, tilde_state,
                                    w0_basis)
-from betheforge.scalars import F_left, PoleError, RootSet
-from conftest import block, hatted_matrix, rational_mat
+from betheforge.scalars import F_left, F_right, PoleError, RootSet
+from conftest import block, fixed_roots, hatted_matrix, rational_mat
 
 
 @pytest.fixture(scope="module")
@@ -232,17 +231,14 @@ def test_reduced_vacuum_relations(sp1, n):
 def test_reduced_vacuum_weights_formulas(sp1):
     uvec = (Fr(9, 4), Fr(31, 6))
     x = Fr(41, 8)
-    om, mu = reduced_vacuum(sp1, uvec)
     u = RootSet(uvec)
-    from betheforge.scalars import F_right
-    assert mu(2, x) * F_left(u, x) == sp1.lam(2, x)
-    assert mu(1, x) == sp1.lam(1, x) * F_left(u, x - 1)
-    assert mu(-1, x) == sp1.lam(-1, x) * F_right(x + 1, u)
-    assert mu(-2, x) * F_right(x, u) == sp1.lam(-2, x)
+    assert mu_weight(sp1, 2, x, uvec) * F_left(u, x) == sp1.lam(2, x)
+    assert mu_weight(sp1, 1, x, uvec) == sp1.lam(1, x) * F_left(u, x - 1)
+    assert mu_weight(sp1, -1, x, uvec) == sp1.lam(-1, x) * F_right(x + 1, u)
+    assert mu_weight(sp1, -2, x, uvec) * F_right(x, u) == sp1.lam(-2, x)
     # trivial dressing reduces to the chain weights
-    _, mu0 = reduced_vacuum(sp1, ())
     for i in (1, 2, -1, -2):
-        assert mu0(i, x) == sp1.lam(i, x)
+        assert mu_weight(sp1, i, x, ()) == sp1.lam(i, x)
 
 
 # -- second level --------------------------------------------------------
@@ -290,14 +286,19 @@ def test_second_level_state_symmetry(sp2):
 # -- final pipeline -------------------------------------------------------
 
 
+def _ansatz(chain, cfg):
+    """The package's eigenvalue x -> E(x) and Bethe residuals at `cfg`."""
+    return fixed_roots(chain, u=cfg.uvec, v=cfg.vbar, w=cfg.wbar)
+
+
 def test_trivial_configuration(sp2):
     cfg = Sp4BetheConfig((), (), ())
     psi = sp4_bethe_vector(sp2, cfg)
     assert residual(psi, sp2.vacuum().omega) == 0
     x = Fr(13, 3)
-    assert sp4_eigenvalue(sp2, x, cfg) == \
-        sum(sp2.lam(i, x) for i in (-2, -1, 1, 2))
-    assert sp4_residuals(sp2, cfg) == {"u": [], "v": [], "w": []}
+    eigenvalue, res = _ansatz(sp2, cfg)
+    assert eigenvalue(x) == sum(sp2.lam(i, x) for i in (-2, -1, 1, 2))
+    assert res == {"u": [], "v": [], "w": []}
 
 
 def test_single_outer_root_contracts_to_zero(sp1, sp2):
@@ -306,26 +307,26 @@ def test_single_outer_root_contracts_to_zero(sp1, sp2):
         with pytest.raises(ZeroVectorError):
             sp4_bethe_vector(ch, Sp4BetheConfig((Fr(9, 4),), (), ()))
     # while its condition is identically satisfied (equal edge weights)
-    res = sp4_residuals(sp1, Sp4BetheConfig((Fr(9, 4),), (), ()))
+    _, res = _ansatz(sp1, Sp4BetheConfig((Fr(9, 4),), (), ()))
     assert res["u"][0] == (0, 0)
 
 
 def test_single_outer_root_eigenvalue_is_the_scalar_transfer(sp1):
     # on one site H(x) is scalar and the ansatz eigenvalue is root-free
     for u in (Fr(9, 4), Fr(-13, 5)):
-        cfg = Sp4BetheConfig((u,), (), ())
+        eigenvalue, _ = _ansatz(sp1, Sp4BetheConfig((u,), (), ()))
         for x in (Fr(13, 3), Fr(-9, 2)):
-            e = sp4_eigenvalue(sp1, x, cfg)
-            assert sp1.transfer(x).entry(0, 0) == e
+            assert sp1.transfer(x).entry(0, 0) == eigenvalue(x)
 
 
 def test_plus_wing_exact_eigenvector(sp2):
     # lam1(v) = lam2(v) = 1 linearizes to v = -1/4 on the default chain
     cfg = Sp4BetheConfig((), (Fr(-1, 4),), ())
-    assert sp4_residuals(sp2, cfg)["v"][0] == (0, 0)
+    eigenvalue, res = _ansatz(sp2, cfg)
+    assert res["v"][0] == (0, 0)
     psi = sp4_bethe_vector(sp2, cfg)
     for x in (Fr(13, 3), Fr(-9, 2), Fr(7, 6)):
-        e = sp4_eigenvalue(sp2, x, cfg)
+        e = eigenvalue(x)
         assert residual(sp2.transfer(x) @ psi, psi.scale(e)) == 0
     # second-level eigen relations hold for the same configuration
     assert all(r == 0 for r in tilde_eigen_residuals(sp2, cfg, Fr(13, 3)))
@@ -334,10 +335,11 @@ def test_plus_wing_exact_eigenvector(sp2):
 def test_minus_wing_exact_eigenvector(sp2):
     # lam-1(w) = lam-2(w) gives w = -9/4 on the default chain
     cfg = Sp4BetheConfig((), (), (Fr(-9, 4),))
-    assert sp4_residuals(sp2, cfg)["w"][0] == (0, 0)
+    eigenvalue, res = _ansatz(sp2, cfg)
+    assert res["w"][0] == (0, 0)
     psi = sp4_bethe_vector(sp2, cfg)
     for x in (Fr(13, 3), Fr(-9, 2)):
-        e = sp4_eigenvalue(sp2, x, cfg)
+        e = eigenvalue(x)
         assert residual(sp2.transfer(x) @ psi, psi.scale(e)) == 0
     # the two wing descriptions produce the same physical state
     psi_v = sp4_bethe_vector(sp2, Sp4BetheConfig((), (Fr(-1, 4),), ()))
@@ -351,7 +353,7 @@ def test_wing_states_are_level_merge_consistent(sp2):
     x = Fr(13, 3)
     # with no outer roots the eigenvalue is the plain sum of the two halves
     e = prop_eigenvalue(sp2, "+", x, cfg) + prop_eigenvalue(sp2, "-", x, cfg)
-    assert e == sp4_eigenvalue(sp2, x, cfg)
+    assert e == _ansatz(sp2, cfg)[0](x)
 
 
 def test_bare_set_product_still_raises_on_collision():
@@ -368,7 +370,7 @@ def test_collision_configuration_null_and_off_spectrum():
     ch = Chain(ChainSpec("sp4", 2, (0j, 0.5 + 0j), backend="float"))
     v = (-1 + 1j * np.sqrt(3)) / 4
     cfg = Sp4BetheConfig((v - 1,), (v,), ())
-    res = sp4_residuals(ch, cfg)
+    _, res = _ansatz(ch, cfg)
     assert abs(res["u"][0][1]) < 1e-12 and abs(res["v"][0][1]) < 1e-12
     with pytest.raises(ZeroVectorError):
         sp4_bethe_vector(ch, cfg)
@@ -380,12 +382,12 @@ def test_singlet_configuration_full_pipeline():
     ch = Chain(ChainSpec("sp4", 2, (0j, 0.5 + 0j), backend="float"))
     u, v, w = -1.25 + 0j, -0.7704165 + 0j, -1.7295835 + 0j
     cfg = Sp4BetheConfig((u,), (v,), (w,))
-    res = sp4_residuals(ch, cfg)
+    eigenvalue, res = _ansatz(ch, cfg)
     worst = max(abs(r) for fam in res.values() for _, r in fam)
     assert worst < 1e-6  # frozen digits; the solver refines further
     psi = sp4_bethe_vector(ch, cfg)
     x = 4.3 + 0j
-    e = complex(sp4_eigenvalue(ch, x, cfg))
+    e = complex(eigenvalue(x))
     pv = psi.to_complex()[:, 0]
     hm = ch.transfer(x).to_complex()
     assert np.linalg.norm(hm @ pv - e * pv) / np.linalg.norm(pv) < 1e-5
@@ -405,18 +407,3 @@ def test_outer_root_permutation_behaviour_reported(sp2):
 def test_mu_weight_requires_known_index(sp1):
     with pytest.raises(ValueError):
         mu_weight(sp1, 3, Fr(1), ())
-
-
-def test_reduced_vacuum_mismatch_detected(sp1, monkeypatch):
-    # a wrong reference vector must trip the annihilation assertions
-    import betheforge.nested_sp4 as mod
-    from betheforge.nested_sp4 import VacuumMismatchError
-
-    good_omega = mod.omega_hat
-
-    def bad_omega(chain, slots):
-        return good_omega(chain, [1 for _ in slots])  # wrong slot
-
-    monkeypatch.setattr(mod, "omega_hat", bad_omega)
-    with pytest.raises(VacuumMismatchError):
-        mod.reduced_vacuum(sp1, (Fr(9, 4),))

@@ -16,9 +16,10 @@ from betheforge.bethe_solver import (SolveProblem, SolveResult, eigenvalue,
 from betheforge.chain import CapacityError, Chain, ChainSpec, \
     default_inhomogeneities
 from betheforge.linalg import Mat
-from betheforge.scalars import PoleError
+from betheforge.scalars import F_left, F_right, PoleError
 from conftest import (grid_weights, written_out_clearing_factors,
-                      written_out_raw_rel, written_out_split_roots)
+                      written_out_eigenvalue, written_out_raw_rel,
+                      written_out_residuals, written_out_split_roots)
 
 
 def _chain(model, length=2):
@@ -43,6 +44,11 @@ def test_gl2_single_root(gl2_chain):
     assert res[0].converged
     assert abs(res[0].roots["u"][0] - (-0.25)) < 1e-10
     assert res[0].residual <= 1e-12
+
+
+def test_problem_rejects_a_chain_of_another_model(gl2_chain):
+    with pytest.raises(ValueError, match="'sp4'.*'gl2'"):
+        SolveProblem(gl2_chain, "sp4", (0, 1, 0))
 
 
 def test_zero_unknowns_trivially_converged(gl2_chain):
@@ -164,6 +170,11 @@ def _hexes(values):
                                         float(z.imag).hex())]
 
 
+def _exact_key(value):
+    """A complex value's float.hex pair, or an error name as it is."""
+    return value if isinstance(value, str) else _hexes([value])
+
+
 def _outcome(fn):
     """fn()'s value, or the name of the evaluation error it raised."""
     try:
@@ -202,8 +213,91 @@ def test_clearing_table_matches_written_out_products(model, length, counts):
             got = _outcome(lambda: [float(x).hex() for x in residual_vector(
                 prob, vec, form=form)])
             assert got == _outcome(lambda: written_out(vec, form))
+        for x in (4.3 + 0.2j, complex(vec[0].real, -0.0), vec[0] + 0.5):
+            got = _outcome(lambda: complex(eigenvalue(prob, x, roots)))
+            ref = _outcome(lambda: complex(
+                written_out_eigenvalue(prob, x, want)))
+            if regrouped and not isinstance(ref, str):
+                # the term table multiplies gl3's middle term as
+                # lam2 F(v-bar, x) F(x, u-bar), the written-out formula as
+                # lam2 F(x, u-bar) F(v-bar, x): they differ by the rounding
+                # of that term, which the sum may cancel down to
+                middle = (prob.chain.lam(2, x) * F_right(x, roots["u"])
+                          * F_left(roots["v"], x))
+                assert abs(got - ref) <= 1e-15 * max(abs(ref), abs(middle))
+            else:
+                assert _exact_key(got) == _exact_key(ref)
+
+    regrouped = model == "gl3" and min(counts) >= 1
+    check()
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@pytest.mark.parametrize("model,length,counts", [
+    ("gl2", 2, (2,)), ("gl3", 2, (2, 2)), ("sp4", 2, (2, 1, 2)),
+    ("sp4", 1, (1, 2, 1))])
+def test_term_table_matches_written_out_formulas_exactly(model, length,
+                                                        counts):
+    ch = Chain(ChainSpec(model, length, default_inhomogeneities(length)))
+    prob = SolveProblem(ch, model, counts)
+
+    @given(vals=st.lists(_rational, min_size=sum(counts) + 1,
+                         max_size=sum(counts) + 1))
+    @settings(max_examples=40)
+    def check(vals):
+        *flat, x = vals
+        roots = bethe_solver._split_roots(prob, flat)
+        assert _outcome(lambda: bethe_solver._residuals(prob, roots)) \
+            == _outcome(lambda: written_out_residuals(prob, roots))
+        assert _outcome(lambda: eigenvalue(prob, x, roots)) \
+            == _outcome(lambda: written_out_eigenvalue(prob, x, roots))
 
     check()
+
+
+@pytest.mark.parametrize("model,counts", [
+    ("gl2", (2,)), ("gl3", (2, 2)), ("sp4", (2, 2, 2))])
+def test_derived_clearing_removes_every_pole_it_claims(model, counts):
+    # a factor (product, other, s) of either term of a condition has a pole
+    # at r + s = o for each root o of `other`, and each z-shift t of the
+    # condition one at r - z + t = 0.  A root eps from such a pole gives a
+    # raw residual growing like 1/eps and, with the derived clearing, a
+    # cleared one that stays bounded; the clearing claims exactly these
+    prob = SolveProblem(_chain(model), model, counts)
+    entry = bethe_solver.MODELS[model]
+    rng = np.random.default_rng(5)
+    base = {fam: tuple(complex(rng.uniform(-2, 2), rng.uniform(0.3, 1.5))
+                       for _ in range(n))
+            for fam, n in zip(entry["unknowns"], counts)}
+    z = complex(prob.chain.spec.inhomogeneities[0])
+    offset, poles = 0, []
+    for fam, (lhs, rhs, z_shifts, _) in entry["conditions"].items():
+        here = [("z", t) for t in z_shifts] + [
+            (other, s) for term in (lhs, rhs)
+            for _, other, s in entry["terms"][term][1]]
+        for other, s in dict.fromkeys(here):
+            # root 0 of `fam` is moved to the pole, so the other root o is
+            # root 1 when `other` is `fam` itself
+            o = z if other == "z" else base[other][1]
+            sizes = []
+            for eps in (1e-6, 1e-8):
+                roots = dict(base)
+                roots[fam] = (o - s + eps * np.exp(0.7j),) + base[fam][1:]
+                vec = np.array([r for f in entry["unknowns"]
+                                for r in roots[f]])
+                sizes.append([abs(complex(*residual_vector(
+                    prob, vec, form)[2 * offset:2 * offset + 2]))
+                    for form in ("raw", "cleared")])
+            (raw6, cleared6), (raw8, cleared8) = sizes
+            assert raw8 > 30 * raw6, (fam, other, s)
+            assert cleared8 < 3 * cleared6, (fam, other, s)
+            poles.append((fam, other, s))
+        offset += len(base[fam])
+    claimed = [(fam, other, s) for fam, _, *factors in entry["clearing"]
+               for other, *shifts in factors for s in shifts]
+    assert sorted(claimed, key=str) == sorted(poles, key=str)
 
 
 def _compares_model_to_a_name(node):
